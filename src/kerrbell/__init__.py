@@ -38,9 +38,9 @@ from .analyzers import (
     DEMO_WEIGHTS,
     AnalyzerConfig,
     Classification,
-    HomodyneResult,
     Symmetry,
     SymmetryOutcome,
+    check_domain,
     classify,
     error_probability,
     phase_phi,

@@ -31,11 +31,11 @@ from .pointer import (
     apply_cross_kerr,
     attach_probe,
     collapse,
-    homodyne_density,
     sample_homodyne,
 )
 
 TWO_PI = 2.0 * math.pi
+MAX_ALPHA = 1e6  # largest validated probe amplitude
 
 # Cross-phase signs for the four-mode analyzer: +1 on both arm-1 modes,
 # -1 on both arm-2 modes, so balanced states shift the probe by net zero
@@ -54,39 +54,38 @@ class Symmetry(Enum):
     TRIPLET = "Triplet"
 
 
+def check_domain(
+    theta: float | None = None,
+    alpha: float | None = None,
+    grid_step: float | None = None,
+) -> None:
+    """Raise InvalidSpec unless every given value lies in the validated domain.
+
+    theta in (0, pi/4], alpha in [0, MAX_ALPHA], grid_step in (0, 1].  The
+    chained comparisons also reject nan and +/-inf.
+    """
+    if theta is not None and not 0.0 < theta <= math.pi / 4.0:
+        raise InvalidSpec(f"theta must be in (0, pi/4], got {theta!r}")
+    if alpha is not None and not 0.0 <= alpha <= MAX_ALPHA:
+        raise InvalidSpec(f"alpha must be in [0, {MAX_ALPHA:g}], got {alpha!r}")
+    if grid_step is not None and not 0.0 < grid_step <= 1.0:
+        raise InvalidSpec(f"grid_step must be in (0, 1], got {grid_step!r}")
+
+
 @dataclass(frozen=True)
 class AnalyzerConfig:
-    """Operating point (per-photon cross-phase, probe amplitude) plus sampling knobs."""
+    """Operating point: per-photon cross-phase and probe amplitude."""
 
     theta: float
     alpha: float
-    seed: int = 0
-    grid_step: float = 0.01
-    grid_pad: float = 8.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.theta <= math.pi / 4.0):
-            raise InvalidSpec(f"theta must be in (0, pi/4], got {self.theta!r}")
-        if self.alpha < 0.0:
-            raise InvalidSpec(f"alpha must be non-negative, got {self.alpha!r}")
-        if self.grid_step <= 0.0 or self.grid_pad <= 0.0:
-            raise InvalidSpec("grid_step and grid_pad must be positive")
-
-
-@dataclass(frozen=True)
-class HomodyneResult:
-    """One quadrature measurement with its classification and correction phase."""
-
-    x: float
-    density: float
-    classification: Classification
-    phi: float
+        check_domain(self.theta, self.alpha)
 
 
 @dataclass(frozen=True)
 class SymmetryOutcome:
     classification: Symmetry
-    homodyne: HomodyneResult
     post_state: TwoQubitState
 
 
@@ -159,7 +158,7 @@ def run_two_mode_demo(
     sign: int,
     cfg: AnalyzerConfig,
     rng: np.random.Generator,
-) -> tuple[Classification, SpatialFockState, HomodyneResult]:
+) -> tuple[Classification, SpatialFockState]:
     """One shot of the two-mode demonstrator.
 
     Samples a homodyne outcome, collapses the signal, applies the corrective
@@ -168,13 +167,10 @@ def run_two_mode_demo(
     phase, so the post state equals (|2,0> + sign*|0,2>)/sqrt2 exactly.
     """
     pd = two_mode_pointer(d1, d2, sign, cfg)
-    x = sample_homodyne(pd, rng, cfg.grid_step, cfg.grid_pad)
+    x = sample_homodyne(pd, rng)
     post = collapse(pd, x)
-    phi = phase_phi(x, cfg.theta, cfg.alpha)
-    post = apply_phase_shift(post, -phi, modes=(0,))
-    cls = classify(x, cfg.theta, cfg.alpha)
-    result = HomodyneResult(x, homodyne_density(pd, x), cls, phi)
-    return cls, post, result
+    post = apply_phase_shift(post, -phase_phi(x, cfg.theta, cfg.alpha), modes=(0,))
+    return classify(x, cfg.theta, cfg.alpha), post
 
 
 def symmetry_pointer(q: TwoQubitState, cfg: AnalyzerConfig) -> PointerDecomposition:
@@ -198,43 +194,28 @@ def run_symmetry_analyzer(
     decode.  A Balanced outcome means Singlet, Bunched means Triplet.
 
     With ideal=True the soft homodyne projection is replaced by an exact
-    Born-rule projection onto the singlet/triplet subspaces; the recorded
-    HomodyneResult then carries the corresponding peak quadrature as a
-    stand-in outcome.
+    Born-rule projection onto the singlet/triplet subspaces.
     """
     if ideal:
-        return _ideal_symmetry_analyzer(q, cfg, rng)
+        return _ideal_symmetry_analyzer(q, rng)
     pd = symmetry_pointer(q, cfg)
-    x = sample_homodyne(pd, rng, cfg.grid_step, cfg.grid_pad)
+    x = sample_homodyne(pd, rng)
     post = collapse(pd, x)
-    phi = phase_phi(x, cfg.theta, cfg.alpha)
-    post = apply_phase_shift(post, -phi, modes=(0, 1))
-    post = apply_beam_splitter(post)
-    q_out = extract(post)
+    post = apply_phase_shift(post, -phase_phi(x, cfg.theta, cfg.alpha), modes=(0, 1))
+    q_out = extract(apply_beam_splitter(post))
     cls = classify(x, cfg.theta, cfg.alpha)
     sym = Symmetry.SINGLET if cls is Classification.BALANCED else Symmetry.TRIPLET
-    result = HomodyneResult(x, homodyne_density(pd, x), cls, phi)
-    return SymmetryOutcome(sym, result, q_out)
+    return SymmetryOutcome(sym, q_out)
 
 
-def _ideal_symmetry_analyzer(
-    q: TwoQubitState,
-    cfg: AnalyzerConfig,
-    rng: np.random.Generator,
-) -> SymmetryOutcome:
+def _ideal_symmetry_analyzer(q: TwoQubitState, rng: np.random.Generator) -> SymmetryOutcome:
     singlet = bell_state(BellLabel.PSI_MINUS)
     c = overlap(singlet, q)
-    p_singlet = abs(c) ** 2
-    if rng.random() < p_singlet:
-        post = TwoQubitState.normalized([c * a for a in singlet.amps])
-        sym, cls = Symmetry.SINGLET, Classification.BALANCED
-        x = 2.0 * cfg.alpha
-    else:
-        post = TwoQubitState.normalized(
-            [qa - c * sa for qa, sa in zip(q.amps, singlet.amps)]
+    if rng.random() < abs(c) ** 2:
+        return SymmetryOutcome(
+            Symmetry.SINGLET, TwoQubitState.normalized([c * a for a in singlet.amps])
         )
-        sym, cls = Symmetry.TRIPLET, Classification.BUNCHED
-        x = 2.0 * cfg.alpha * math.cos(2.0 * cfg.theta)
-    phi = phase_phi(x, cfg.theta, cfg.alpha)
-    result = HomodyneResult(x, 1.0 / math.sqrt(TWO_PI), cls, phi)
-    return SymmetryOutcome(sym, result, post)
+    return SymmetryOutcome(
+        Symmetry.TRIPLET,
+        TwoQubitState.normalized([qa - c * sa for qa, sa in zip(q.amps, singlet.amps)]),
+    )

@@ -8,6 +8,7 @@ or sweep data applies, a CSV sits next to the JSON file.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -32,6 +33,7 @@ from .analyzers import (
     AnalyzerConfig,
     Classification,
     Symmetry,
+    check_domain,
     error_probability,
     run_symmetry_analyzer,
     run_two_mode_demo,
@@ -70,30 +72,23 @@ class ExperimentSpec:
             raise InvalidSpec(f"unknown command {self.command!r}")
         if self.trials < 1:
             raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
-        if not (0.0 < self.theta <= math.pi / 4.0):
-            raise InvalidSpec(f"theta must be in (0, pi/4], got {self.theta!r}")
-        if self.alpha < 0.0:
-            raise InvalidSpec(f"alpha must be non-negative, got {self.alpha!r}")
-        if self.grid_step <= 0.0:
-            raise InvalidSpec(f"grid_step must be positive, got {self.grid_step!r}")
+        check_domain(self.theta, self.alpha, self.grid_step)
         if self.sign not in (1, -1):
             raise InvalidSpec(f"sign must be +1 or -1, got {self.sign!r}")
         if self.command == "oracle-check" and self.alpha > 4.0:
             raise InvalidSpec("oracle-check requires alpha <= 4")
 
 
-def _analyzer_config(spec: ExperimentSpec) -> AnalyzerConfig:
-    try:
-        return AnalyzerConfig(
-            theta=spec.theta,
-            alpha=spec.alpha,
-            seed=spec.seed,
-            grid_step=spec.grid_step,
-        )
-    except InvalidSpec:
-        raise
-    except ValueError as exc:
-        raise InvalidSpec(str(exc)) from exc
+def _analyzer_config(spec: ExperimentSpec, alpha: float | None = None) -> AnalyzerConfig:
+    """The spec's operating point, or the spec's theta with another alpha."""
+    return AnalyzerConfig(theta=spec.theta, alpha=spec.alpha if alpha is None else alpha)
+
+
+def _analytic_errors(theta: float, alpha: float) -> dict:
+    return {
+        "small_angle": error_probability(theta, alpha, "small-angle"),
+        "exact": error_probability(theta, alpha, "exact"),
+    }
 
 
 def _parse_complex_list(text: str, expected: int, what: str) -> list[complex]:
@@ -101,9 +96,12 @@ def _parse_complex_list(text: str, expected: int, what: str) -> list[complex]:
     if len(parts) != expected:
         raise InvalidSpec(f"{what} needs {expected} comma-separated values, got {text!r}")
     try:
-        return [complex(p) for p in parts]
+        values = [complex(p) for p in parts]
     except ValueError as exc:
         raise InvalidSpec(f"cannot parse {what} from {text!r}: {exc}") from exc
+    if not all(cmath.isfinite(v) for v in values):
+        raise InvalidSpec(f"{what} amplitudes must be finite, got {text!r}")
+    return values
 
 
 def _parse_qubit_input(text: str | None) -> tuple[TwoQubitState, str]:
@@ -115,8 +113,8 @@ def _parse_qubit_input(text: str | None) -> tuple[TwoQubitState, str]:
     amps = _parse_complex_list(text, 4, "input state")
     try:
         state = TwoQubitState.normalized(amps)
-    except ValueError as exc:
-        raise InvalidSpec(str(exc)) from exc
+    except (ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"cannot normalize input state {text!r}: {exc}") from exc
     return state, text
 
 
@@ -125,7 +123,10 @@ def _parse_demo_input(text: str | None) -> tuple[complex, complex]:
         r = 1.0 / math.sqrt(2.0)
         return complex(r), complex(r)
     d1, d2 = _parse_complex_list(text, 2, "demo input")
-    nsq = abs(d1) ** 2 + abs(d2) ** 2
+    try:
+        nsq = abs(d1) ** 2 + abs(d2) ** 2
+    except OverflowError as exc:
+        raise InvalidSpec(f"cannot normalize demo input {text!r}: {exc}") from exc
     if abs(nsq - 1.0) > 1e-6:
         norm = math.sqrt(nsq)
         if norm < 1e-150:
@@ -178,6 +179,7 @@ def _density_csv(pd, spec: ExperimentSpec, out: str | None) -> str | None:
 def _run_demo2mode(spec: ExperimentSpec) -> dict:
     d1, d2 = _parse_demo_input(spec.input)
     cfg = _analyzer_config(spec)
+    csv_path = _density_csv(two_mode_pointer(d1, d2, spec.sign, cfg), spec, spec.out)
     rng = np.random.default_rng(spec.seed)
     balanced_target = SpatialFockState({(1, 1): 1.0 + 0j}, max_total=2)
     r = 1.0 / math.sqrt(2.0)
@@ -187,7 +189,7 @@ def _run_demo2mode(spec: ExperimentSpec) -> dict:
     counts = {c.value: 0 for c in Classification}
     fid_sums = {c.value: 0.0 for c in Classification}
     for _ in range(spec.trials):
-        cls, post, _ = run_two_mode_demo(d1, d2, spec.sign, cfg, rng)
+        cls, post = run_two_mode_demo(d1, d2, spec.sign, cfg, rng)
         counts[cls.value] += 1
         target = balanced_target if cls is Classification.BALANCED else bunched_target
         fid_sums[cls.value] += post.fidelity(target)
@@ -197,15 +199,11 @@ def _run_demo2mode(spec: ExperimentSpec) -> dict:
         "rates": {
             c: _rate_ci(n, spec.trials) for c, n in counts.items()
         },
-        "analytic_error_probability": {
-            "small_angle": error_probability(spec.theta, spec.alpha, "small-angle"),
-            "exact": error_probability(spec.theta, spec.alpha, "exact"),
-        },
+        "analytic_error_probability": _analytic_errors(spec.theta, spec.alpha),
         "mean_conditional_fidelity": {
             c: (fid_sums[c] / n if n else None) for c, n in counts.items()
         },
     }
-    csv_path = _density_csv(two_mode_pointer(d1, d2, spec.sign, cfg), spec, spec.out)
     if csv_path:
         report["density_csv"] = csv_path
     return report
@@ -223,6 +221,7 @@ def _true_symmetry(q: TwoQubitState) -> str | None:
 def _run_symmetry(spec: ExperimentSpec) -> dict:
     q, input_text = _parse_qubit_input(spec.input)
     cfg = _analyzer_config(spec)
+    csv_path = _density_csv(symmetry_pointer(q, cfg), spec, spec.out)
     rng = np.random.default_rng(spec.seed)
     true_symmetry = _true_symmetry(q)
     counts = {s.value: 0 for s in Symmetry}
@@ -240,15 +239,11 @@ def _run_symmetry(spec: ExperimentSpec) -> dict:
         "true_symmetry": true_symmetry,
         "counts": counts,
         "rates": {s: _rate_ci(n, spec.trials) for s, n in counts.items()},
-        "analytic_error_probability": {
-            "small_angle": error_probability(spec.theta, spec.alpha, "small-angle"),
-            "exact": error_probability(spec.theta, spec.alpha, "exact"),
-        },
+        "analytic_error_probability": _analytic_errors(spec.theta, spec.alpha),
         "mean_post_fidelity_vs_input": fid_sum / spec.trials,
     }
     if true_symmetry is not None:
         report["empirical_error"] = _rate_ci(errors, spec.trials)
-    csv_path = _density_csv(symmetry_pointer(q, cfg), spec, spec.out)
     if csv_path:
         report["density_csv"] = csv_path
     return report
@@ -299,10 +294,7 @@ def _run_bell(spec: ExperimentSpec) -> dict:
     return {
         "spec": asdict(spec),
         "policy": {"early_exit": policy.early_exit, "omit_final": policy.omit_final},
-        "analytic_error_probability": {
-            "small_angle": error_probability(spec.theta, spec.alpha, "small-angle"),
-            "exact": error_probability(spec.theta, spec.alpha, "exact"),
-        },
+        "analytic_error_probability": _analytic_errors(spec.theta, spec.alpha),
         "results": rows,
     }
 
@@ -312,20 +304,19 @@ def _parse_targets(text: str) -> list[float]:
         targets = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise InvalidSpec(f"cannot parse sweep targets from {text!r}") from exc
-    if not targets or any(t <= 0 for t in targets):
-        raise InvalidSpec(f"sweep targets must be positive, got {text!r}")
+    if not targets or not all(0.0 < t < math.inf for t in targets):
+        raise InvalidSpec(f"sweep targets must be finite and positive, got {text!r}")
     return targets
 
 
 def _run_sweep(spec: ExperimentSpec) -> dict:
     targets = _parse_targets(spec.targets)
+    cfgs = [_analyzer_config(spec, t / (spec.theta * spec.theta)) for t in targets]
     rng = np.random.default_rng(spec.seed)
     singlet = bell_state(BellLabel.PSI_MINUS)
     triplet = bell_state(BellLabel.PHI_PLUS)
     table = []
-    for target in targets:
-        alpha = target / (spec.theta * spec.theta)
-        cfg = AnalyzerConfig(theta=spec.theta, alpha=alpha, grid_step=spec.grid_step)
+    for target, cfg in zip(targets, cfgs):
         n_singlet = spec.trials // 2
         n_triplet = spec.trials - n_singlet
         errors = 0
@@ -338,14 +329,13 @@ def _run_sweep(spec: ExperimentSpec) -> dict:
             if outcome.classification is not Symmetry.TRIPLET:
                 errors += 1
         ci = _rate_ci(errors, spec.trials)
+        analytic = _analytic_errors(spec.theta, cfg.alpha)
         table.append(
             {
                 "alpha_theta_sq": target,
-                "alpha": alpha,
-                "analytic_exact": error_probability(spec.theta, alpha, "exact"),
-                "analytic_small_angle": error_probability(
-                    spec.theta, alpha, "small-angle"
-                ),
+                "alpha": cfg.alpha,
+                "analytic_exact": analytic["exact"],
+                "analytic_small_angle": analytic["small_angle"],
                 "empirical": ci["rate"],
                 "ci_low": ci["ci_low"],
                 "ci_high": ci["ci_high"],

@@ -22,12 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
+from .analyzers import check_domain
 from .errors import TruncationOverflow, ZeroDensity
 from .fock_core import SpatialFockState
 
 _TAIL_TOL = 1e-12
+_GRID_PAD = 8.0  # grid half-width around the outermost pointer centers
 
 
 def default_n_max(alpha: float) -> int:
@@ -35,31 +36,47 @@ def default_n_max(alpha: float) -> int:
 
 
 def poisson_tail(n_max: int, mean: float) -> float:
-    """P(N > n_max) for N ~ Poisson(mean); the probe mass lost to truncation."""
+    """P(N > n_max) for N ~ Poisson(mean); the probe mass lost to truncation.
+
+    Sums the Poisson terms above n_max, each evaluated in log space, until
+    they are past the mode and below 1e-17 of the running sum.
+    """
     if mean == 0.0:
         return 0.0
-    return float(gammainc(n_max + 1, mean))
+    log_mean = math.log(mean)
+    k = n_max + 1
+    log_term = k * log_mean - mean - math.lgamma(k + 1)
+    total = 0.0
+    while True:
+        term = math.exp(log_term)
+        total += term
+        if k > mean and term <= 1e-17 * total:
+            return total
+        k += 1
+        log_term += log_mean - math.log(k)
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Truncation and grid settings for the number-basis reference computation."""
+    """Truncation and grid settings for the number-basis reference computation.
+
+    alpha and grid_step share the analyzer's validated domain; theta may be
+    any finite value (0 switches the coupling off).
+    """
 
     alpha: float
     theta: float
     n_max: int | None = None
     grid_step: float = 0.01
-    grid_pad: float = 8.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha <= 4.0):
+        check_domain(alpha=self.alpha, grid_step=self.grid_step)
+        if self.alpha > 4.0:
             raise ValueError(
                 f"number-basis reference is limited to alpha <= 4, got {self.alpha!r}"
             )
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
-        if self.grid_step <= 0.0 or self.grid_pad <= 0.0:
-            raise ValueError("grid_step and grid_pad must be positive")
         tail = poisson_tail(self.resolved_n_max, self.alpha**2)
         if tail >= _TAIL_TOL:
             raise TruncationOverflow(
@@ -96,7 +113,8 @@ def _coherent_coefficients(alpha: float, n_max: int) -> np.ndarray:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
         return out
-    logs = n * math.log(alpha) - 0.5 * gammaln(n + 1) - alpha * alpha / 2.0
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
+    logs = n * math.log(alpha) - 0.5 * log_factorial - alpha * alpha / 2.0
     return np.exp(logs)
 
 
@@ -126,8 +144,8 @@ def _joint_amplitudes(
 
 def _grid(cfg: OracleConfig, nets: np.ndarray) -> np.ndarray:
     centers = 2.0 * cfg.alpha * np.cos(cfg.theta * nets)
-    lo = float(centers.min()) - cfg.grid_pad
-    hi = float(centers.max()) + cfg.grid_pad
+    lo = float(centers.min()) - _GRID_PAD
+    hi = float(centers.max()) + _GRID_PAD
     count = max(2, math.ceil((hi - lo) / cfg.grid_step) + 1)
     return np.linspace(lo, hi, count)
 

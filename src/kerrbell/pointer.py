@@ -22,14 +22,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .errors import ZeroDensity
+from .errors import InvalidSpec, ZeroDensity
 from .fock_core import SpatialFockState
 
 _ROOT4 = (2.0 * math.pi) ** -0.25
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
 _NORM_TOL = 1e-9
+MAX_GRID_POINTS = 1_000_000  # largest tabulated density grid
 
 
 @dataclass(frozen=True)
@@ -167,30 +167,36 @@ def density_grid(
     step: float = 0.01,
     pad: float = 8.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform x grid spanning all pointer centers +/- pad, with its density."""
+    """Uniform x grid spanning all pointer centers +/- pad, with its density.
+
+    Raises InvalidSpec when the grid would hold more than MAX_GRID_POINTS.
+    """
     centers = [2.0 * br.beta.real for br in pd.branches]
     lo, hi = min(centers) - pad, max(centers) + pad
     count = max(2, math.ceil((hi - lo) / step) + 1)
+    if count > MAX_GRID_POINTS:
+        raise InvalidSpec(
+            f"density grid of {count} points exceeds {MAX_GRID_POINTS}; "
+            f"use a coarser grid step than {step!r}"
+        )
     xs = np.linspace(lo, hi, count)
     return xs, homodyne_density(pd, xs)
 
 
-def sample_homodyne(
-    pd: PointerDecomposition,
-    rng: np.random.Generator,
-    step: float = 0.01,
-    pad: float = 8.0,
-) -> float:
-    """Draw one homodyne outcome by inverse-CDF on the density grid.
+def sample_homodyne(pd: PointerDecomposition, rng: np.random.Generator) -> float:
+    """Draw one homodyne outcome exactly from the Gaussian mixture.
 
-    The grid covers every Gaussian center +/- pad (default 8 standard
-    deviations, < 1e-14 mass outside) at resolution <= step.  Deterministic
-    for a given rng state.
+    The density is sum_j |d_j|^2 * N(2*Re(beta_j), 1).  Draw order: one
+    rng.random() picks branch j with weight |d_j|^2 (branches in occupation
+    order), then one rng.standard_normal() is added to 2*Re(beta_j).
     """
-    xs, ps = density_grid(pd, step, pad)
-    cdf = cumulative_trapezoid(ps, xs, initial=0.0)
-    u = rng.random() * cdf[-1]
-    return float(np.interp(u, cdf, xs))
+    weights = [abs(br.d) ** 2 for br in pd.branches]
+    u = rng.random() * sum(weights)
+    for br, w in zip(pd.branches, weights):
+        u -= w
+        if u < 0.0:
+            break
+    return 2.0 * br.beta.real + float(rng.standard_normal())
 
 
 def collapse(pd: PointerDecomposition, x: float) -> SpatialFockState:

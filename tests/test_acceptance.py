@@ -8,7 +8,7 @@ import math
 import time
 
 import numpy as np
-from scipy.integrate import trapezoid
+from numpy import trapezoid
 import pytest
 
 from kerrbell import (

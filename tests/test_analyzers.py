@@ -128,15 +128,22 @@ class TestAnalyzerConfig:
         with pytest.raises(InvalidSpec):
             AnalyzerConfig(theta=0.1, alpha=-1.0)
 
+    @pytest.mark.parametrize("theta, alpha", [(math.nan, 1.0), (0.1, math.nan), (0.1, math.inf)])
+    def test_non_finite_rejected(self, theta, alpha):
+        with pytest.raises(InvalidSpec):
+            AnalyzerConfig(theta=theta, alpha=alpha)
+
+    def test_fields_are_the_operating_point(self):
+        assert list(AnalyzerConfig.__dataclass_fields__) == ["theta", "alpha"]
+
 
 class TestTwoModeDemo:
     def test_balanced_only_input(self, rng):
         cfg = AnalyzerConfig(theta=0.3, alpha=1.5 / 0.09)
         target = SpatialFockState({(1, 1): 1.0})
         for _ in range(20):
-            cls, post, result = run_two_mode_demo(1.0, 0.0, 1, cfg, rng)
+            cls, post = run_two_mode_demo(1.0, 0.0, 1, cfg, rng)
             assert post.fidelity(target) == pytest.approx(1.0, abs=1e-12)
-            assert result.phi == phase_phi(result.x, cfg.theta, cfg.alpha)
         assert cls is Classification.BALANCED  # overwhelming at this operating point
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -145,7 +152,7 @@ class TestTwoModeDemo:
         r = 1.0 / math.sqrt(2.0)
         target = SpatialFockState({(2, 0): r, (0, 2): sign * r})
         for _ in range(20):
-            _, post, _ = run_two_mode_demo(0.0, 1.0, sign, cfg, rng)
+            _, post = run_two_mode_demo(0.0, 1.0, sign, cfg, rng)
             assert post.fidelity(target) == pytest.approx(1.0, abs=1e-12)
 
     def test_misclassification_rate_matches_analytic(self):
@@ -158,7 +165,7 @@ class TestTwoModeDemo:
         for _ in range(trials):
             branch_balanced = rng.random() < 0.5
             d1, d2 = (1.0, 0.0) if branch_balanced else (0.0, 1.0)
-            cls, _, _ = run_two_mode_demo(d1, d2, 1, cfg, rng)
+            cls, _ = run_two_mode_demo(d1, d2, 1, cfg, rng)
             got_balanced = cls is Classification.BALANCED
             if got_balanced != branch_balanced:
                 wrong += 1

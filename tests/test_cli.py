@@ -144,6 +144,25 @@ class TestFilesAndDeterminism:
         for key in ("command", "theta", "alpha", "trials", "seed", "grid_step"):
             assert key in report["spec"]
 
+    def test_grid_step_does_not_change_statistics(self):
+        # The homodyne draw is exact, so the grid step reaches only the CSV.
+        reports = [
+            run(_spec(command="symmetry", input="PhiPlus", trials=2000, seed=1, grid_step=g))
+            for g in (0.01, 1.0)
+        ]
+        assert reports[0]["counts"] == reports[1]["counts"]
+        assert reports[0]["empirical_error"] == reports[1]["empirical_error"]
+
+    def test_density_csv_grid_is_capped(self, tmp_path):
+        out = tmp_path / "r.json"
+        spec = _spec(
+            command="symmetry", theta=0.7, alpha=1e5, input="0.6,0.8,0,0", trials=1,
+            out=str(out),
+        )
+        with pytest.raises(InvalidSpec, match="density grid"):
+            run(spec)
+        assert not out.exists()
+
 
 class TestMainEntry:
     def test_exit_zero(self, capsys):
@@ -156,6 +175,33 @@ class TestMainEntry:
 
     def test_exit_two_on_invalid(self, capsys):
         assert main(["symmetry", "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["symmetry", "--alpha", "nan"],
+            ["symmetry", "--alpha", "inf"],
+            ["bell", "--alpha", "inf"],
+            ["demo2mode", "--alpha", "nan"],
+            ["sweep", "--targets", "nan"],
+            ["sweep", "--targets", "inf"],
+            ["symmetry", "--input", "1e308,1e308,0,0"],
+            ["symmetry", "--grid-step", "nan"],
+        ],
+    )
+    def test_exit_two_outside_domain(self, capsys, argv):
+        assert main(argv + ["--trials", "2", "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, kerrbell; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_ideal_bell_via_subprocess(self):
         proc = subprocess.run(

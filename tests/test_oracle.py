@@ -1,7 +1,8 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
-from scipy.integrate import trapezoid
+from numpy import trapezoid
 import pytest
 
 from kerrbell import (
@@ -47,6 +48,24 @@ class TestConfig:
     def test_tail_mass_bound(self):
         cfg = OracleConfig(alpha=3.0, theta=0.1)
         assert poisson_tail(cfg.resolved_n_max, 9.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n_max, mean", [(0, 0.5), (3, 9.0), (12, 9.0), (40, 9.0), (76, 16.0), (10, 1e-3)]
+    )
+    def test_poisson_tail_matches_direct_sum(self, n_max, mean):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            m = Decimal(mean)
+            term, head = Decimal(1), Decimal(1)
+            for k in range(1, n_max + 1):
+                term = term * m / k
+                head += term
+            tail, term = Decimal(0), term * m / (n_max + 1)
+            for k in range(n_max + 2, n_max + 400):
+                tail += term
+                term = term * m / k
+            expected = float(tail * (-m).exp())
+        assert poisson_tail(n_max, mean) == pytest.approx(expected, rel=1e-13)
 
 
 class TestQuadratureWavefunctions:

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import numpy as np
-from scipy.integrate import trapezoid
+from numpy import trapezoid
 import pytest
 
 from kerrbell import (
@@ -176,6 +176,18 @@ class TestSampling:
         a = [sample_homodyne(pd, np.random.default_rng(5)) for _ in range(3)]
         b = [sample_homodyne(pd, np.random.default_rng(5)) for _ in range(3)]
         assert a == b
+
+    def test_draw_order(self):
+        # one uniform picks the branch by |d|^2, then one normal is added
+        r = 1.0 / math.sqrt(2.0)
+        pd = PointerDecomposition(
+            [PointerBranch((1, 1), r, 3.0), PointerBranch((2, 0), r, 1.0 + 2.0j)]
+        )
+        for seed in range(20):
+            ref = np.random.default_rng(seed)
+            u, z = ref.random(), ref.standard_normal()
+            center = 6.0 if u < 0.5 else 2.0
+            assert sample_homodyne(pd, np.random.default_rng(seed)) == center + z
 
     def test_statistics_against_density(self):
         pd = PointerDecomposition([PointerBranch((1, 1), 1.0, 3.0)])
