@@ -30,7 +30,6 @@ from .pointer import (
     collapse,
     density_grid,
     homodyne_density,
-    sample_homodyne,
     x_overlap,
 )
 from .analyzers import (
@@ -43,16 +42,17 @@ from .analyzers import (
     check_domain,
     classify,
     error_probability,
+    kraus,
     phase_phi,
     run_symmetry_analyzer,
     run_two_mode_demo,
+    sample_outcome,
     symmetry_pointer,
     two_mode_input,
     two_mode_pointer,
 )
 from .bell_detector import (
     DetectionPolicy,
-    DetectionStep,
     DetectionTrace,
     bell_detect,
     ideal_label,

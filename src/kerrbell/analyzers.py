@@ -3,7 +3,9 @@
 The two-mode demonstrator distinguishes |1,1> from (|2,0> +/- |0,2>)/sqrt2
 without destroying either; the four-mode analyzer wraps the same probe
 between two beam splitters to project a polarization two-qubit state onto
-its singlet/triplet symmetry sectors, non-destructively.
+its singlet/triplet symmetry sectors, non-destructively.  Both run on the
+closed-form Kraus operator of their circuit; the Fock/pointer layers are its
+step-by-step reference.
 """
 
 from __future__ import annotations
@@ -20,19 +22,11 @@ from .fock_core import (
     SpatialFockState,
     TwoQubitState,
     apply_beam_splitter,
-    apply_phase_shift,
     bell_state,
     embed,
-    extract,
     overlap,
 )
-from .pointer import (
-    PointerDecomposition,
-    apply_cross_kerr,
-    attach_probe,
-    collapse,
-    sample_homodyne,
-)
+from .pointer import PointerDecomposition, apply_cross_kerr, attach_probe
 
 TWO_PI = 2.0 * math.pi
 MAX_ALPHA = 1e6  # largest validated probe amplitude
@@ -42,6 +36,7 @@ MAX_ALPHA = 1e6  # largest validated probe amplitude
 # and bunched states by +/- 2*theta.
 ANALYZER_WEIGHTS = (1, 1, -1, -1)
 DEMO_WEIGHTS = (1, -1)
+_SINGLET = bell_state(BellLabel.PSI_MINUS)
 
 
 class Classification(Enum):
@@ -152,6 +147,26 @@ def two_mode_pointer(
     return apply_cross_kerr(pd, DEMO_WEIGHTS, cfg.theta)
 
 
+def sample_outcome(p_balanced: float, cfg: AnalyzerConfig, rng: np.random.Generator) -> float:
+    """Draw one homodyne outcome x exactly from its two-peak mixture.
+
+    Draw order: one rng.random() u picks the Balanced peak 2*alpha when
+    u < p_balanced, else the Bunched peak 2*alpha*cos(2*theta); then one
+    rng.standard_normal() is added to that peak.
+    """
+    peak = 2.0 * cfg.alpha
+    if rng.random() >= p_balanced:
+        peak *= math.cos(2.0 * cfg.theta)
+    return peak + float(rng.standard_normal())
+
+
+def _kraus_weights(x: float, cfg: AnalyzerConfig) -> tuple[float, float]:
+    """(g(x - 2*alpha), g(x - 2*alpha*cos(2*theta))) with g(u) = exp(-u**2/4)."""
+    u_b = x - 2.0 * cfg.alpha
+    u_t = x - 2.0 * cfg.alpha * math.cos(2.0 * cfg.theta)
+    return math.exp(-u_b * u_b / 4.0), math.exp(-u_t * u_t / 4.0)
+
+
 def run_two_mode_demo(
     d1: complex,
     d2: complex,
@@ -159,18 +174,16 @@ def run_two_mode_demo(
     cfg: AnalyzerConfig,
     rng: np.random.Generator,
 ) -> tuple[Classification, SpatialFockState]:
-    """One shot of the two-mode demonstrator.
+    """One shot of the two-mode demonstrator: x from sample_outcome(|d1|^2).
 
-    Samples a homodyne outcome, collapses the signal, applies the corrective
-    phase exp(-i*phi(x)*n) on mode a, and classifies the outcome.  For a
-    bunched-only input the correction turns the branch phases into a global
-    phase, so the post state equals (|2,0> + sign*|0,2>)/sqrt2 exactly.
+    The phase-corrected post state is g_B*d1|1,1> + g_T*d2*(|2,0> +
+    sign*|0,2>)/sqrt2, normalized, with the weights of K(x) (see kraus).
     """
-    pd = two_mode_pointer(d1, d2, sign, cfg)
-    x = sample_homodyne(pd, rng)
-    post = collapse(pd, x)
-    post = apply_phase_shift(post, -phase_phi(x, cfg.theta, cfg.alpha), modes=(0,))
-    return classify(x, cfg.theta, cfg.alpha), post
+    s = two_mode_input(d1, d2, sign)
+    x = sample_outcome(abs(s.amplitude((1, 1))) ** 2, cfg, rng)
+    g_b, g_t = _kraus_weights(x, cfg)
+    post = {occ: a * (g_b if occ == (1, 1) else g_t) for occ, a in s.items()}
+    return classify(x, cfg.theta, cfg.alpha), SpatialFockState.normalized(post)
 
 
 def symmetry_pointer(q: TwoQubitState, cfg: AnalyzerConfig) -> PointerDecomposition:
@@ -178,6 +191,24 @@ def symmetry_pointer(q: TwoQubitState, cfg: AnalyzerConfig) -> PointerDecomposit
     s = apply_beam_splitter(embed(q))
     pd = attach_probe(s, cfg.alpha)
     return apply_cross_kerr(pd, ANALYZER_WEIGHTS, cfg.theta)
+
+
+def _apply_kraus(q: TwoQubitState, c: complex, g_s: float, g_t: float) -> TwoQubitState:
+    """(g_s*P_S + g_t*P_T) q, normalized, where c = <PsiMinus|q>."""
+    return TwoQubitState.normalized(
+        [g_s * c * s + g_t * (a - c * s) for a, s in zip(q.amps, _SINGLET.amps)]
+    )
+
+
+def kraus(q: TwoQubitState, x: float, cfg: AnalyzerConfig) -> TwoQubitState:
+    """K(x)q normalized: the analyzer's phase-corrected post state at outcome x.
+
+    Embed, beam splitter, probe, cross-Kerr, collapse at x, the correction
+    exp(-i*phi(x)*n_arm1), recombination and extract together act as
+    K(x) = (2*pi)**-0.25 * [g(x - 2*alpha)*P_S + g(x - 2*alpha*cos(2*theta))*P_T]
+    up to a global phase, with g(u) = exp(-u**2/4).
+    """
+    return _apply_kraus(q, overlap(_SINGLET, q), *_kraus_weights(x, cfg))
 
 
 def run_symmetry_analyzer(
@@ -188,34 +219,20 @@ def run_symmetry_analyzer(
 ) -> SymmetryOutcome:
     """Project a two-qubit state onto its singlet or triplet sector.
 
-    Pipeline: embed, beam splitter, probe with cross-Kerr weights
-    (+1, +1, -1, -1), homodyne sample, collapse, corrective phase
-    exp(-i*phi(x)*n_arm1) on both arm-1 modes, recombining beam splitter,
-    decode.  A Balanced outcome means Singlet, Bunched means Triplet.
-
-    With ideal=True the soft homodyne projection is replaced by an exact
-    Born-rule projection onto the singlet/triplet subspaces.
+    Draw order, with c = <PsiMinus|q>: one rng.random() u picks the sector,
+    Singlet when u < |c|^2.  With ideal=True that sector is the outcome and
+    the post state is the exact projection P_S q or P_T q, normalized.
+    Otherwise one rng.standard_normal() is added to the sector's peak to give
+    x (see sample_outcome), a Balanced classify(x) means Singlet, and the post
+    state is K(x)q normalized (see kraus).
     """
+    c = overlap(_SINGLET, q)
     if ideal:
-        return _ideal_symmetry_analyzer(q, rng)
-    pd = symmetry_pointer(q, cfg)
-    x = sample_homodyne(pd, rng)
-    post = collapse(pd, x)
-    post = apply_phase_shift(post, -phase_phi(x, cfg.theta, cfg.alpha), modes=(0, 1))
-    q_out = extract(apply_beam_splitter(post))
-    cls = classify(x, cfg.theta, cfg.alpha)
-    sym = Symmetry.SINGLET if cls is Classification.BALANCED else Symmetry.TRIPLET
-    return SymmetryOutcome(sym, q_out)
-
-
-def _ideal_symmetry_analyzer(q: TwoQubitState, rng: np.random.Generator) -> SymmetryOutcome:
-    singlet = bell_state(BellLabel.PSI_MINUS)
-    c = overlap(singlet, q)
-    if rng.random() < abs(c) ** 2:
-        return SymmetryOutcome(
-            Symmetry.SINGLET, TwoQubitState.normalized([c * a for a in singlet.amps])
-        )
-    return SymmetryOutcome(
-        Symmetry.TRIPLET,
-        TwoQubitState.normalized([qa - c * sa for qa, sa in zip(q.amps, singlet.amps)]),
-    )
+        singlet = rng.random() < abs(c) ** 2
+        g_s, g_t = float(singlet), float(not singlet)
+    else:
+        x = sample_outcome(abs(c) ** 2, cfg, rng)
+        singlet = classify(x, cfg.theta, cfg.alpha) is Classification.BALANCED
+        g_s, g_t = _kraus_weights(x, cfg)
+    sym = Symmetry.SINGLET if singlet else Symmetry.TRIPLET
+    return SymmetryOutcome(sym, _apply_kraus(q, c, g_s, g_t))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NotABellState
 from .fock_core import BellLabel, TwoQubitState, apply_pauli, bell_state, fidelity
-from .analyzers import AnalyzerConfig, Symmetry, SymmetryOutcome, run_symmetry_analyzer
+from .analyzers import AnalyzerConfig, Symmetry, run_symmetry_analyzer
 
 # Pauli applied (to qubit 2) before analyzer k = 2, 3, 4.
 _PRE_PAULIS: tuple[tuple[str, int] | None, ...] = (None, ("X", 2), ("Z", 2), ("X", 2))
@@ -35,14 +35,10 @@ class DetectionPolicy:
 
 
 @dataclass(frozen=True)
-class DetectionStep:
-    pauli: tuple[str, int] | None
-    outcome: SymmetryOutcome
-
-
-@dataclass(frozen=True)
 class DetectionTrace:
-    steps: tuple[DetectionStep, ...]
+    """steps: one (Pauli applied before it, outcome) pair per analyzer run."""
+
+    steps: tuple[tuple[tuple[str, int] | None, Symmetry], ...]
     label: BellLabel
     post_state: TwoQubitState
     analyzer_count: int
@@ -68,7 +64,7 @@ def bell_detect(
     closing = ("Y", 2) if policy.omit_final else ("Z", 2)
 
     state = q
-    steps: list[DetectionStep] = []
+    steps: list[tuple[tuple[str, int] | None, Symmetry]] = []
     applied: list[tuple[str, int]] = []
     first_singlet: int | None = None
 
@@ -78,7 +74,7 @@ def bell_detect(
             state = apply_pauli(state, pauli[1], pauli[0])
             applied.append(pauli)
         outcome = run_symmetry_analyzer(state, cfg, rng, ideal=ideal)
-        steps.append(DetectionStep(pauli, outcome))
+        steps.append((pauli, outcome.classification))
         state = outcome.post_state
         if outcome.classification is Symmetry.SINGLET and first_singlet is None:
             first_singlet = k + 1

@@ -167,11 +167,12 @@ def _sidecar(out: str | None, suffix: str) -> Path | None:
     return path.with_name(path.stem + suffix)
 
 
-def _density_csv(pd, spec: ExperimentSpec, out: str | None) -> str | None:
-    path = _sidecar(out, "_density.csv")
+def _density_csv(pointer, spec: ExperimentSpec) -> str | None:
+    """Write the density CSV next to the report; pointer() is built only then."""
+    path = _sidecar(spec.out, "_density.csv")
     if path is None:
         return None
-    xs, ps = density_grid(pd, step=spec.grid_step)
+    xs, ps = density_grid(pointer(), step=spec.grid_step)
     _write_csv(path, "x,p", list(zip(xs, ps)))
     return str(path)
 
@@ -179,7 +180,7 @@ def _density_csv(pd, spec: ExperimentSpec, out: str | None) -> str | None:
 def _run_demo2mode(spec: ExperimentSpec) -> dict:
     d1, d2 = _parse_demo_input(spec.input)
     cfg = _analyzer_config(spec)
-    csv_path = _density_csv(two_mode_pointer(d1, d2, spec.sign, cfg), spec, spec.out)
+    csv_path = _density_csv(lambda: two_mode_pointer(d1, d2, spec.sign, cfg), spec)
     rng = np.random.default_rng(spec.seed)
     balanced_target = SpatialFockState({(1, 1): 1.0 + 0j}, max_total=2)
     r = 1.0 / math.sqrt(2.0)
@@ -221,7 +222,7 @@ def _true_symmetry(q: TwoQubitState) -> str | None:
 def _run_symmetry(spec: ExperimentSpec) -> dict:
     q, input_text = _parse_qubit_input(spec.input)
     cfg = _analyzer_config(spec)
-    csv_path = _density_csv(symmetry_pointer(q, cfg), spec, spec.out)
+    csv_path = _density_csv(lambda: symmetry_pointer(q, cfg), spec)
     rng = np.random.default_rng(spec.seed)
     true_symmetry = _true_symmetry(q)
     counts = {s.value: 0 for s in Symmetry}
@@ -311,7 +312,10 @@ def _parse_targets(text: str) -> list[float]:
 
 def _run_sweep(spec: ExperimentSpec) -> dict:
     targets = _parse_targets(spec.targets)
-    cfgs = [_analyzer_config(spec, t / (spec.theta * spec.theta)) for t in targets]
+    theta_sq = spec.theta * spec.theta
+    if theta_sq == 0.0:
+        raise InvalidSpec(f"theta {spec.theta!r} squares to 0, so no target sets alpha")
+    cfgs = [_analyzer_config(spec, t / theta_sq) for t in targets]
     rng = np.random.default_rng(spec.seed)
     singlet = bell_state(BellLabel.PSI_MINUS)
     triplet = bell_state(BellLabel.PHI_PLUS)

@@ -26,6 +26,7 @@ import numpy as np
 from .analyzers import check_domain
 from .errors import TruncationOverflow, ZeroDensity
 from .fock_core import SpatialFockState
+from .pointer import uniform_grid
 
 _TAIL_TOL = 1e-12
 _GRID_PAD = 8.0  # grid half-width around the outermost pointer centers
@@ -142,14 +143,6 @@ def _joint_amplitudes(
     return occs, nets, amps[:, None] * c[None, :] * phases
 
 
-def _grid(cfg: OracleConfig, nets: np.ndarray) -> np.ndarray:
-    centers = 2.0 * cfg.alpha * np.cos(cfg.theta * nets)
-    lo = float(centers.min()) - _GRID_PAD
-    hi = float(centers.max()) + _GRID_PAD
-    count = max(2, math.ceil((hi - lo) / cfg.grid_step) + 1)
-    return np.linspace(lo, hi, count)
-
-
 def full_fock_density(
     s: SpatialFockState,
     cfg: OracleConfig,
@@ -157,7 +150,8 @@ def full_fock_density(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact homodyne density of the truncated joint state, tabulated on a grid."""
     occs, nets, joint = _joint_amplitudes(s, cfg, weights)
-    xs = _grid(cfg, nets)
+    centers = 2.0 * cfg.alpha * np.cos(cfg.theta * nets)
+    xs = uniform_grid(centers.tolist(), cfg.grid_step, _GRID_PAD)
     psi = quadrature_wavefunctions(xs, cfg.resolved_n_max)
     branch_waves = joint @ psi.astype(complex)
     return xs, np.sum(np.abs(branch_waves) ** 2, axis=0)

@@ -51,7 +51,7 @@ class PointerDecomposition:
         branches: list[PointerBranch] | tuple[PointerBranch, ...],
         max_total: int | None = None,
     ) -> None:
-        merged: dict[tuple[int, ...], PointerBranch] = {}
+        by_occ: dict[tuple[int, ...], PointerBranch] = {}
         n_modes = None
         for br in branches:
             occ = tuple(int(n) for n in br.occ)
@@ -59,24 +59,15 @@ class PointerDecomposition:
                 n_modes = len(occ)
             elif len(occ) != n_modes:
                 raise ValueError("occupation tuples differ in length")
-            prev = merged.get(occ)
-            if prev is None:
-                merged[occ] = PointerBranch(occ, complex(br.d), complex(br.beta))
-            else:
-                # Duplicate occupations merge their signal amplitudes; the
-                # pointers must already coincide (distinct coherent values on
-                # the same occupation have no joint-state meaning here).
-                if abs(prev.beta - br.beta) > 1e-12 * (1.0 + abs(prev.beta)):
-                    raise ValueError(
-                        f"cannot merge occupation {occ} with differing pointers"
-                    )
-                merged[occ] = PointerBranch(occ, prev.d + complex(br.d), prev.beta)
-        if not merged:
+            if occ in by_occ:
+                raise ValueError(f"occupation {occ} appears in more than one branch")
+            by_occ[occ] = PointerBranch(occ, complex(br.d), complex(br.beta))
+        if not by_occ:
             raise ValueError("decomposition needs at least one branch")
-        nsq = sum(abs(br.d) ** 2 for br in merged.values())
+        nsq = sum(abs(br.d) ** 2 for br in by_occ.values())
         if abs(nsq - 1.0) > _NORM_TOL:
             raise ValueError(f"signal amplitudes are not normalized (|.|^2 = {nsq!r})")
-        ordered = tuple(merged[occ] for occ in sorted(merged))
+        ordered = tuple(by_occ[occ] for occ in sorted(by_occ))
         self._branches = ordered
         if max_total is None:
             max_total = max(sum(br.occ) for br in ordered)
@@ -162,16 +153,12 @@ def homodyne_density(pd: PointerDecomposition, x):
     return float(total[0]) if scalar else total
 
 
-def density_grid(
-    pd: PointerDecomposition,
-    step: float = 0.01,
-    pad: float = 8.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform x grid spanning all pointer centers +/- pad, with its density.
+def uniform_grid(centers, step: float, pad: float) -> np.ndarray:
+    """Uniform x grid from min(centers) - pad to max(centers) + pad at the step.
 
-    Raises InvalidSpec when the grid would hold more than MAX_GRID_POINTS.
+    Raises InvalidSpec, before allocating, when the grid would hold more than
+    MAX_GRID_POINTS.
     """
-    centers = [2.0 * br.beta.real for br in pd.branches]
     lo, hi = min(centers) - pad, max(centers) + pad
     count = max(2, math.ceil((hi - lo) / step) + 1)
     if count > MAX_GRID_POINTS:
@@ -179,24 +166,17 @@ def density_grid(
             f"density grid of {count} points exceeds {MAX_GRID_POINTS}; "
             f"use a coarser grid step than {step!r}"
         )
-    xs = np.linspace(lo, hi, count)
+    return np.linspace(lo, hi, count)
+
+
+def density_grid(
+    pd: PointerDecomposition,
+    step: float = 0.01,
+    pad: float = 8.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform x grid spanning all pointer centers +/- pad, with its density."""
+    xs = uniform_grid([2.0 * br.beta.real for br in pd.branches], step, pad)
     return xs, homodyne_density(pd, xs)
-
-
-def sample_homodyne(pd: PointerDecomposition, rng: np.random.Generator) -> float:
-    """Draw one homodyne outcome exactly from the Gaussian mixture.
-
-    The density is sum_j |d_j|^2 * N(2*Re(beta_j), 1).  Draw order: one
-    rng.random() picks branch j with weight |d_j|^2 (branches in occupation
-    order), then one rng.standard_normal() is added to 2*Re(beta_j).
-    """
-    weights = [abs(br.d) ** 2 for br in pd.branches]
-    u = rng.random() * sum(weights)
-    for br, w in zip(pd.branches, weights):
-        u -= w
-        if u < 0.0:
-            break
-    return 2.0 * br.beta.real + float(rng.standard_normal())
 
 
 def collapse(pd: PointerDecomposition, x: float) -> SpatialFockState:

@@ -18,8 +18,7 @@ from kerrbell import (
     phase_phi,
     run_symmetry_analyzer,
     run_two_mode_demo,
-    symmetry_pointer,
-    sample_homodyne,
+    sample_outcome,
 )
 from conftest import random_triplet
 
@@ -226,11 +225,12 @@ class TestSymmetryAnalyzer:
         rng = np.random.default_rng(99)
         n = 100_000
         tol = 3.0 / math.sqrt(n)
-        pd_singlet = symmetry_pointer(bell_state(BellLabel.PSI_MINUS), cfg)
-        mean_s = np.mean([sample_homodyne(pd_singlet, rng) for _ in range(n)])
+        singlet = bell_state(BellLabel.PSI_MINUS)
+        p_singlet = fidelity(singlet, singlet)
+        mean_s = np.mean([sample_outcome(p_singlet, cfg, rng) for _ in range(n)])
         assert abs(mean_s - 2.0 * alpha) < tol
-        pd_triplet = symmetry_pointer(bell_state(BellLabel.PHI_PLUS), cfg)
-        mean_t = np.mean([sample_homodyne(pd_triplet, rng) for _ in range(n)])
+        p_triplet = fidelity(singlet, bell_state(BellLabel.PHI_PLUS))
+        mean_t = np.mean([sample_outcome(p_triplet, cfg, rng) for _ in range(n)])
         assert abs(mean_t - 2.0 * alpha * math.cos(2.0 * theta)) < tol
 
     def test_ideal_mode_projects_exactly(self, rng):

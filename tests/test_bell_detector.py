@@ -58,7 +58,7 @@ class TestIdealLimit:
         trace = bell_detect(
             bell_state(BellLabel.PSI_PLUS), cfg, DetectionPolicy(), rng, ideal=True
         )
-        assert [s.pauli for s in trace.steps] == [None, ("X", 2), ("Z", 2), ("X", 2)]
+        assert [pauli for pauli, _ in trace.steps] == [None, ("X", 2), ("Z", 2), ("X", 2)]
 
     def test_first_singlet_position_sets_label(self):
         cfg = AnalyzerConfig(theta=0.1, alpha=50.0)
@@ -74,7 +74,7 @@ class TestIdealLimit:
             trace = bell_detect(
                 bell_state(label), cfg, DetectionPolicy(), rng, ideal=True
             )
-            outcomes = [s.outcome.classification for s in trace.steps]
+            outcomes = [symmetry for _, symmetry in trace.steps]
             assert outcomes.index(Symmetry.SINGLET) + 1 == position
 
 

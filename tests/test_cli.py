@@ -185,8 +185,10 @@ class TestMainEntry:
             ["demo2mode", "--alpha", "nan"],
             ["sweep", "--targets", "nan"],
             ["sweep", "--targets", "inf"],
+            ["sweep", "--theta", "1e-300"],
             ["symmetry", "--input", "1e308,1e308,0,0"],
             ["symmetry", "--grid-step", "nan"],
+            ["oracle-check", "--alpha", "4", "--grid-step", "1e-6"],
         ],
     )
     def test_exit_two_outside_domain(self, capsys, argv):

@@ -7,6 +7,7 @@ import pytest
 
 from kerrbell import (
     AnalyzerConfig,
+    BellLabel,
     PointerBranch,
     PointerDecomposition,
     SpatialFockState,
@@ -14,15 +15,19 @@ from kerrbell import (
     apply_cross_kerr,
     apply_phase_shift,
     attach_probe,
+    bell_state,
     collapse,
     density_grid,
+    fidelity,
     homodyne_density,
     phase_phi,
-    sample_homodyne,
+    sample_outcome,
+    symmetry_pointer,
     two_mode_input,
     two_mode_pointer,
     x_overlap,
 )
+from conftest import random_state
 
 ROOT4 = (2.0 * math.pi) ** -0.25
 GAUSS_PEAK = 1.0 / math.sqrt(2.0 * math.pi)
@@ -42,7 +47,7 @@ class TestAttachProbe:
         assert all(br.beta == 0j for br in pd.branches)
 
     def test_split_psi_plus_structure(self):
-        from kerrbell import BellLabel, apply_beam_splitter, bell_state, embed
+        from kerrbell import apply_beam_splitter, embed
 
         s = apply_beam_splitter(embed(bell_state(BellLabel.PSI_PLUS)))
         pd = attach_probe(s, 2.5)
@@ -98,15 +103,12 @@ class TestCrossKerr:
         with pytest.raises(ValueError):
             apply_cross_kerr(pd, (1,), 0.1)
 
-    def test_duplicate_occupations_merge(self):
+    def test_duplicate_occupations_rejected(self):
         r = 1.0 / math.sqrt(2.0)
-        pd = PointerDecomposition(
-            [PointerBranch((1, 1), r, 2.0), PointerBranch((1, 1), -r, 2.0),
-             PointerBranch((2, 0), 1.0, 2.0)]
-        )
-        assert len(pd.branches) == 2  # the (1,1) pair cancels to 0... still a branch
-        amps = {br.occ: br.d for br in pd.branches}
-        assert amps[(1, 1)] == pytest.approx(0j, abs=1e-15)
+        with pytest.raises(ValueError, match="more than one branch"):
+            PointerDecomposition(
+                [PointerBranch((1, 1), r, 2.0), PointerBranch((1, 1), r, 2.0)]
+            )
 
 
 class TestXOverlap:
@@ -171,34 +173,39 @@ class TestHomodyneDensity:
 
 
 class TestSampling:
+    # sample_outcome draws the analyzer's homodyne outcome; the pointer
+    # model's density is the reference it must follow.
+    cfg = AnalyzerConfig(theta=0.3, alpha=5.0)
+
     def test_deterministic_for_fixed_seed(self):
-        pd = PointerDecomposition([PointerBranch((1, 1), 1.0, 3.0)])
-        a = [sample_homodyne(pd, np.random.default_rng(5)) for _ in range(3)]
-        b = [sample_homodyne(pd, np.random.default_rng(5)) for _ in range(3)]
+        a = [sample_outcome(0.4, self.cfg, np.random.default_rng(5)) for _ in range(3)]
+        b = [sample_outcome(0.4, self.cfg, np.random.default_rng(5)) for _ in range(3)]
         assert a == b
 
     def test_draw_order(self):
-        # one uniform picks the branch by |d|^2, then one normal is added
-        r = 1.0 / math.sqrt(2.0)
-        pd = PointerDecomposition(
-            [PointerBranch((1, 1), r, 3.0), PointerBranch((2, 0), r, 1.0 + 2.0j)]
-        )
+        # one uniform picks the sector by its weight, then one normal is added
+        peaks = (10.0, 10.0 * math.cos(0.6))
         for seed in range(20):
             ref = np.random.default_rng(seed)
             u, z = ref.random(), ref.standard_normal()
-            center = 6.0 if u < 0.5 else 2.0
-            assert sample_homodyne(pd, np.random.default_rng(seed)) == center + z
+            center = peaks[0] if u < 0.5 else peaks[1]
+            assert sample_outcome(0.5, self.cfg, np.random.default_rng(seed)) == center + z
 
     def test_statistics_against_density(self):
-        pd = PointerDecomposition([PointerBranch((1, 1), 1.0, 3.0)])
+        q = random_state(np.random.default_rng(8))
+        p = fidelity(q, bell_state(BellLabel.PSI_MINUS))
+        peaks = np.array([10.0, 10.0 * math.cos(0.6)])
         rng = np.random.default_rng(123)
-        draws = np.array([sample_homodyne(pd, rng) for _ in range(100_000)])
-        # sample mean within 3 sigma of 2*alpha for a unit-variance Gaussian
-        assert abs(draws.mean() - 6.0) < 3.0 / math.sqrt(draws.size)
-        # total variation between histogram and density below 0.02
-        bins = np.linspace(1.0, 11.0, 51)
+        draws = np.array([sample_outcome(p, self.cfg, rng) for _ in range(100_000)])
+        # sample mean within 3 sigma of the mixture mean
+        mean = p * peaks[0] + (1.0 - p) * peaks[1]
+        sigma = math.sqrt(1.0 + p * (1.0 - p) * (peaks[0] - peaks[1]) ** 2)
+        assert abs(draws.mean() - mean) < 3.0 * sigma / math.sqrt(draws.size)
+        # total variation between histogram and pointer density below 0.02
+        bins = np.linspace(peaks[1] - 5.0, peaks[0] + 5.0, 51)
         hist, _ = np.histogram(draws, bins=bins)
         centers = 0.5 * (bins[:-1] + bins[1:])
+        pd = symmetry_pointer(q, self.cfg)
         theory = homodyne_density(pd, centers) * (bins[1] - bins[0])
         tv = 0.5 * np.abs(hist / draws.size - theory).sum()
         assert tv < 0.02
