@@ -47,6 +47,7 @@ from .analyzers import (
     run_symmetry_analyzer,
     run_two_mode_demo,
     sample_outcome,
+    shot,
     symmetry_pointer,
     two_mode_input,
     two_mode_pointer,

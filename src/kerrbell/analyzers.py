@@ -17,15 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidSpec
-from .fock_core import (
-    BellLabel,
-    SpatialFockState,
-    TwoQubitState,
-    apply_beam_splitter,
-    bell_state,
-    embed,
-    overlap,
-)
+from .fock_core import Amps, SpatialFockState, TwoQubitState, apply_beam_splitter, embed
 from .pointer import PointerDecomposition, apply_cross_kerr, attach_probe
 
 TWO_PI = 2.0 * math.pi
@@ -36,7 +28,7 @@ MAX_ALPHA = 1e6  # largest validated probe amplitude
 # and bunched states by +/- 2*theta.
 ANALYZER_WEIGHTS = (1, 1, -1, -1)
 DEMO_WEIGHTS = (1, -1)
-_SINGLET = bell_state(BellLabel.PSI_MINUS)
+_R = 1.0 / math.sqrt(2.0)  # PsiMinus = (0, _R, -_R, 0) over HH, HV, VH, VV
 
 
 class Classification(Enum):
@@ -193,11 +185,20 @@ def symmetry_pointer(q: TwoQubitState, cfg: AnalyzerConfig) -> PointerDecomposit
     return apply_cross_kerr(pd, ANALYZER_WEIGHTS, cfg.theta)
 
 
-def _apply_kraus(q: TwoQubitState, c: complex, g_s: float, g_t: float) -> TwoQubitState:
-    """(g_s*P_S + g_t*P_T) q, normalized, where c = <PsiMinus|q>."""
-    return TwoQubitState.normalized(
-        [g_s * c * s + g_t * (a - c * s) for a, s in zip(q.amps, _SINGLET.amps)]
-    )
+def _singlet_amplitude(amps: Amps) -> complex:
+    """c = <PsiMinus|amps>."""
+    return _R * amps[1] - _R * amps[2]
+
+
+def _project(amps: Amps, c: complex, g_s: float, g_t: float) -> Amps:
+    """(g_s*P_S + g_t*P_T) amps, normalized, with c = <PsiMinus|amps>.
+
+    P_S amps = c*|PsiMinus>, so the result is g_t*amps + (g_s - g_t)*c*|PsiMinus>.
+    """
+    d = (g_s - g_t) * c * _R
+    a0, a1, a2, a3 = g_t * amps[0], g_t * amps[1] + d, g_t * amps[2] - d, g_t * amps[3]
+    norm = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2)
+    return a0 / norm, a1 / norm, a2 / norm, a3 / norm
 
 
 def kraus(q: TwoQubitState, x: float, cfg: AnalyzerConfig) -> TwoQubitState:
@@ -208,7 +209,36 @@ def kraus(q: TwoQubitState, x: float, cfg: AnalyzerConfig) -> TwoQubitState:
     K(x) = (2*pi)**-0.25 * [g(x - 2*alpha)*P_S + g(x - 2*alpha*cos(2*theta))*P_T]
     up to a global phase, with g(u) = exp(-u**2/4).
     """
-    return _apply_kraus(q, overlap(_SINGLET, q), *_kraus_weights(x, cfg))
+    return TwoQubitState(
+        _project(q.amps, _singlet_amplitude(q.amps), *_kraus_weights(x, cfg))
+    )
+
+
+def shot(
+    amps: Amps,
+    cfg: AnalyzerConfig,
+    rng: np.random.Generator,
+    ideal: bool = False,
+) -> tuple[bool, Amps]:
+    """One analyzer shot on a normalized (HH, HV, VH, VV) amplitude tuple.
+
+    Returns (singlet, post).  Draw order, with c = <PsiMinus|amps>: one
+    rng.random() u picks the sector, Singlet when u < |c|^2.  With ideal=True
+    that sector is the outcome and post is the exact projection P_S amps or
+    P_T amps, normalized.  Otherwise one rng.standard_normal() is added to the
+    sector's peak to give x (see sample_outcome), singlet means a Balanced
+    classify(x), and post is K(x) amps normalized (see kraus).
+    """
+    c = _singlet_amplitude(amps)
+    p_s = abs(c) ** 2
+    if ideal:
+        singlet = rng.random() < p_s
+        g_s, g_t = float(singlet), float(not singlet)
+    else:
+        x = sample_outcome(p_s, cfg, rng)
+        singlet = classify(x, cfg.theta, cfg.alpha) is Classification.BALANCED
+        g_s, g_t = _kraus_weights(x, cfg)
+    return singlet, _project(amps, c, g_s, g_t)
 
 
 def run_symmetry_analyzer(
@@ -217,22 +247,7 @@ def run_symmetry_analyzer(
     rng: np.random.Generator,
     ideal: bool = False,
 ) -> SymmetryOutcome:
-    """Project a two-qubit state onto its singlet or triplet sector.
-
-    Draw order, with c = <PsiMinus|q>: one rng.random() u picks the sector,
-    Singlet when u < |c|^2.  With ideal=True that sector is the outcome and
-    the post state is the exact projection P_S q or P_T q, normalized.
-    Otherwise one rng.standard_normal() is added to the sector's peak to give
-    x (see sample_outcome), a Balanced classify(x) means Singlet, and the post
-    state is K(x)q normalized (see kraus).
-    """
-    c = overlap(_SINGLET, q)
-    if ideal:
-        singlet = rng.random() < abs(c) ** 2
-        g_s, g_t = float(singlet), float(not singlet)
-    else:
-        x = sample_outcome(abs(c) ** 2, cfg, rng)
-        singlet = classify(x, cfg.theta, cfg.alpha) is Classification.BALANCED
-        g_s, g_t = _kraus_weights(x, cfg)
+    """Project a two-qubit state onto its singlet or triplet sector: one shot."""
+    singlet, post = shot(q.amps, cfg, rng, ideal)
     sym = Symmetry.SINGLET if singlet else Symmetry.TRIPLET
-    return SymmetryOutcome(sym, _apply_kraus(q, c, g_s, g_t))
+    return SymmetryOutcome(sym, TwoQubitState(post))

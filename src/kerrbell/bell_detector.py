@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotABellState
-from .fock_core import BellLabel, TwoQubitState, apply_pauli, bell_state, fidelity
-from .analyzers import AnalyzerConfig, Symmetry, run_symmetry_analyzer
+from .fock_core import BellLabel, TwoQubitState, apply_pauli, bell_state, fidelity, pauli_amps
+from .analyzers import AnalyzerConfig, Symmetry, shot
 
 # Pauli applied (to qubit 2) before analyzer k = 2, 3, 4.
 _PRE_PAULIS: tuple[tuple[str, int] | None, ...] = (None, ("X", 2), ("Z", 2), ("X", 2))
@@ -63,7 +63,7 @@ def bell_detect(
     n_analyzers = 3 if policy.omit_final else 4
     closing = ("Y", 2) if policy.omit_final else ("Z", 2)
 
-    state = q
+    amps = q.amps
     steps: list[tuple[tuple[str, int] | None, Symmetry]] = []
     applied: list[tuple[str, int]] = []
     first_singlet: int | None = None
@@ -71,21 +71,21 @@ def bell_detect(
     for k in range(n_analyzers):
         pauli = _PRE_PAULIS[k]
         if pauli is not None:
-            state = apply_pauli(state, pauli[1], pauli[0])
+            amps = pauli_amps(amps, pauli[1], pauli[0])
             applied.append(pauli)
-        outcome = run_symmetry_analyzer(state, cfg, rng, ideal=ideal)
-        steps.append((pauli, outcome.classification))
-        state = outcome.post_state
-        if outcome.classification is Symmetry.SINGLET and first_singlet is None:
+        singlet, amps = shot(amps, cfg, rng, ideal)
+        steps.append((pauli, Symmetry.SINGLET if singlet else Symmetry.TRIPLET))
+        if singlet and first_singlet is None:
             first_singlet = k + 1
             if policy.early_exit:
+                state = TwoQubitState(amps)
                 for op, qubit in reversed(applied):
                     state = apply_pauli(state, qubit, op)
                 return DetectionTrace(
                     tuple(steps), _LABEL_BY_POSITION[first_singlet], state, len(steps)
                 )
 
-    state = apply_pauli(state, closing[1], closing[0])
+    state = apply_pauli(TwoQubitState(amps), closing[1], closing[0])
     label = _LABEL_BY_POSITION.get(first_singlet or 0, BellLabel.PSI_PLUS)
     return DetectionTrace(tuple(steps), label, state, len(steps))
 

@@ -12,7 +12,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,8 @@ from .fock_core import (
     bell_state,
     embed,
     fidelity,
+    fidelity_amps,
+    normalized_amps,
 )
 from .pointer import collapse, density_grid, homodyne_density
 from .analyzers import (
@@ -35,8 +37,8 @@ from .analyzers import (
     Symmetry,
     check_domain,
     error_probability,
-    run_symmetry_analyzer,
     run_two_mode_demo,
+    shot,
     symmetry_pointer,
     two_mode_pointer,
 )
@@ -72,6 +74,8 @@ class ExperimentSpec:
             raise InvalidSpec(f"unknown command {self.command!r}")
         if self.trials < 1:
             raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         check_domain(self.theta, self.alpha, self.grid_step)
         if self.sign not in (1, -1):
             raise InvalidSpec(f"sign must be +1 or -1, got {self.sign!r}")
@@ -113,7 +117,7 @@ def _parse_qubit_input(text: str | None) -> tuple[TwoQubitState, str]:
     amps = _parse_complex_list(text, 4, "input state")
     try:
         state = TwoQubitState.normalized(amps)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise InvalidSpec(f"cannot normalize input state {text!r}: {exc}") from exc
     return state, text
 
@@ -122,16 +126,11 @@ def _parse_demo_input(text: str | None) -> tuple[complex, complex]:
     if text is None:
         r = 1.0 / math.sqrt(2.0)
         return complex(r), complex(r)
-    d1, d2 = _parse_complex_list(text, 2, "demo input")
+    amps = _parse_complex_list(text, 2, "demo input")
     try:
-        nsq = abs(d1) ** 2 + abs(d2) ** 2
-    except OverflowError as exc:
+        d1, d2 = normalized_amps(amps)
+    except ValueError as exc:
         raise InvalidSpec(f"cannot normalize demo input {text!r}: {exc}") from exc
-    if abs(nsq - 1.0) > 1e-6:
-        norm = math.sqrt(nsq)
-        if norm < 1e-150:
-            raise InvalidSpec("demo input amplitudes are all zero")
-        d1, d2 = d1 / norm, d2 / norm
     return d1, d2
 
 
@@ -195,7 +194,7 @@ def _run_demo2mode(spec: ExperimentSpec) -> dict:
         target = balanced_target if cls is Classification.BALANCED else bunched_target
         fid_sums[cls.value] += post.fidelity(target)
     report = {
-        "spec": asdict(spec),
+        "spec": dict(vars(spec)),
         "counts": counts,
         "rates": {
             c: _rate_ci(n, spec.trials) for c, n in counts.items()
@@ -225,17 +224,15 @@ def _run_symmetry(spec: ExperimentSpec) -> dict:
     csv_path = _density_csv(lambda: symmetry_pointer(q, cfg), spec)
     rng = np.random.default_rng(spec.seed)
     true_symmetry = _true_symmetry(q)
-    counts = {s.value: 0 for s in Symmetry}
+    n_singlet = 0
     fid_sum = 0.0
-    errors = 0
     for _ in range(spec.trials):
-        outcome = run_symmetry_analyzer(q, cfg, rng, ideal=spec.ideal)
-        counts[outcome.classification.value] += 1
-        fid_sum += fidelity(outcome.post_state, q)
-        if true_symmetry is not None and outcome.classification.value != true_symmetry:
-            errors += 1
+        singlet, post = shot(q.amps, cfg, rng, spec.ideal)
+        n_singlet += singlet
+        fid_sum += fidelity_amps(post, q.amps)
+    counts = {Symmetry.SINGLET.value: n_singlet, Symmetry.TRIPLET.value: spec.trials - n_singlet}
     report = {
-        "spec": asdict(spec),
+        "spec": dict(vars(spec)),
         "input": input_text,
         "true_symmetry": true_symmetry,
         "counts": counts,
@@ -244,7 +241,7 @@ def _run_symmetry(spec: ExperimentSpec) -> dict:
         "mean_post_fidelity_vs_input": fid_sum / spec.trials,
     }
     if true_symmetry is not None:
-        report["empirical_error"] = _rate_ci(errors, spec.trials)
+        report["empirical_error"] = _rate_ci(spec.trials - counts[true_symmetry], spec.trials)
     if csv_path:
         report["density_csv"] = csv_path
     return report
@@ -264,6 +261,8 @@ def _run_bell(spec: ExperimentSpec) -> dict:
             true_label: str | None = ideal_label(q).value
         except KerrBellError:
             true_label = None
+        else:
+            target = bell_state(_LABELS[true_label])
         label_counts = {label.value: 0 for label in BellLabel}
         analyzer_total = 0
         correct = 0
@@ -274,9 +273,7 @@ def _run_bell(spec: ExperimentSpec) -> dict:
             analyzer_total += trace.analyzer_count
             if true_label is not None and trace.label.value == true_label:
                 correct += 1
-                fid_correct_sum += fidelity(
-                    trace.post_state, bell_state(_LABELS[true_label])
-                )
+                fid_correct_sum += fidelity(trace.post_state, target)
         row = {
             "input": name,
             "true_label": true_label,
@@ -293,7 +290,7 @@ def _run_bell(spec: ExperimentSpec) -> dict:
             )
         rows.append(row)
     return {
-        "spec": asdict(spec),
+        "spec": dict(vars(spec)),
         "policy": {"early_exit": policy.early_exit, "omit_final": policy.omit_final},
         "analytic_error_probability": _analytic_errors(spec.theta, spec.alpha),
         "results": rows,
@@ -317,21 +314,17 @@ def _run_sweep(spec: ExperimentSpec) -> dict:
         raise InvalidSpec(f"theta {spec.theta!r} squares to 0, so no target sets alpha")
     cfgs = [_analyzer_config(spec, t / theta_sq) for t in targets]
     rng = np.random.default_rng(spec.seed)
-    singlet = bell_state(BellLabel.PSI_MINUS)
-    triplet = bell_state(BellLabel.PHI_PLUS)
+    singlet = bell_state(BellLabel.PSI_MINUS).amps
+    triplet = bell_state(BellLabel.PHI_PLUS).amps
     table = []
     for target, cfg in zip(targets, cfgs):
         n_singlet = spec.trials // 2
         n_triplet = spec.trials - n_singlet
         errors = 0
         for _ in range(n_singlet):
-            outcome = run_symmetry_analyzer(singlet, cfg, rng)
-            if outcome.classification is not Symmetry.SINGLET:
-                errors += 1
+            errors += not shot(singlet, cfg, rng)[0]
         for _ in range(n_triplet):
-            outcome = run_symmetry_analyzer(triplet, cfg, rng)
-            if outcome.classification is not Symmetry.TRIPLET:
-                errors += 1
+            errors += shot(triplet, cfg, rng)[0]
         ci = _rate_ci(errors, spec.trials)
         analytic = _analytic_errors(spec.theta, cfg.alpha)
         table.append(
@@ -345,7 +338,7 @@ def _run_sweep(spec: ExperimentSpec) -> dict:
                 "ci_high": ci["ci_high"],
             }
         )
-    report = {"spec": asdict(spec), "sweep": table}
+    report = {"spec": dict(vars(spec)), "sweep": table}
     path = _sidecar(spec.out, "_sweep.csv")
     if path is not None:
         # "analytic" is the exact-mode value: it is what the empirical rate
@@ -404,7 +397,7 @@ def _run_oracle_check(spec: ExperimentSpec) -> dict:
         )
     passed = max_density_dev < 1e-8 and max_collapse_dev < 1e-8
     return {
-        "spec": asdict(spec),
+        "spec": dict(vars(spec)),
         "per_input": details,
         "max_density_deviation": max_density_dev,
         "max_collapse_deviation": max_collapse_dev,
@@ -471,9 +464,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_OPTIONS = ("--theta", "--alpha", "--grid-step", "--input", "--targets")
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Rewrite "--theta -inf" as "--theta=-inf": argparse takes a separate "-inf"
+    or "-1e+308" for an option, so the value would never reach validation."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _VALUE_OPTIONS and tok[:1] == "-" and tok[:2] != "--":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     fields = {k: v for k, v in vars(args).items() if k in ExperimentSpec.__dataclass_fields__}
     spec = ExperimentSpec(**fields)
     try:

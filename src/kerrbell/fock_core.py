@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping
 from .errors import NotInQubitSpace, TruncationOverflow
 
 BASIS = ("HH", "HV", "VH", "VV")
+Amps = tuple[complex, ...]  # amplitudes over BASIS (or over two modes)
 
 _NORM_TOL = 1e-9
 _PRUNE_TOL = 1e-14
@@ -56,11 +57,7 @@ class TwoQubitState:
 
     @classmethod
     def normalized(cls, amps: Iterable[complex]) -> "TwoQubitState":
-        amps = [complex(a) for a in amps]
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-        if norm < 1e-150:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(tuple(a / norm for a in amps))
+        return cls(normalized_amps(amps))
 
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amps)
@@ -68,6 +65,18 @@ class TwoQubitState:
     def __repr__(self) -> str:
         terms = ", ".join(f"{b}: {a:.4g}" for b, a in zip(BASIS, self.amps))
         return f"TwoQubitState({terms})"
+
+
+def normalized_amps(amps: Iterable[complex]) -> Amps:
+    """amps / ||amps|| for any finite, nonzero amps.  An exact power-of-two rescale
+    first keeps the norm from overflowing or underflowing."""
+    amps = [complex(a) for a in amps]
+    e = math.frexp(max((max(abs(a.real), abs(a.imag)) for a in amps), default=0.0))[1]
+    amps = [complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)) for a in amps]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return tuple(a / norm for a in amps)
 
 
 def bell_state(label: BellLabel) -> TwoQubitState:
@@ -89,7 +98,30 @@ def overlap(a: TwoQubitState, b: TwoQubitState) -> complex:
 
 def fidelity(a: TwoQubitState, b: TwoQubitState) -> float:
     """|<a|b>|^2 — symmetric, 1 iff equal up to a global phase."""
-    return min(1.0, abs(overlap(a, b)) ** 2)
+    return fidelity_amps(a.amps, b.amps)
+
+
+def fidelity_amps(a: Amps, b: Amps) -> float:
+    """fidelity on two (HH, HV, VH, VV) amplitude tuples."""
+    ov = a[0].conjugate() * b[0] + a[1].conjugate() * b[1] + a[2].conjugate() * b[2]
+    return min(1.0, abs(ov + a[3].conjugate() * b[3]) ** 2)
+
+
+def pauli_amps(amps: Amps, qubit: int, op: str) -> Amps:
+    """apply_pauli on an (HH, HV, VH, VV) amplitude tuple."""
+    if qubit not in (1, 2):
+        raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
+    if op not in ("X", "Y", "Z"):
+        raise ValueError(f"op must be X, Y or Z, got {op!r}")
+    # Qubit 2 is the low bit of the basis index; swapping HV and VH moves qubit 1 there.
+    a0, a1, a2, a3 = amps if qubit == 2 else (amps[0], amps[2], amps[1], amps[3])
+    if op == "X":
+        out = (a1, a0, a3, a2)
+    elif op == "Z":
+        out = (a0, -a1, a2, -a3)
+    else:  # Y = iXZ
+        out = (-1j * a1, 1j * a0, -1j * a3, 1j * a2)
+    return out if qubit == 2 else (out[0], out[2], out[1], out[3])
 
 
 def apply_pauli(q: TwoQubitState, qubit: int, op: str) -> TwoQubitState:
@@ -97,22 +129,7 @@ def apply_pauli(q: TwoQubitState, qubit: int, op: str) -> TwoQubitState:
 
     X swaps H and V, Z flips the sign of V, and Y = iXZ.
     """
-    if qubit not in (1, 2):
-        raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
-    if op not in ("X", "Y", "Z"):
-        raise ValueError(f"op must be X, Y or Z, got {op!r}")
-    mask = 2 if qubit == 1 else 1
-    shift = 1 if qubit == 1 else 0
-    out = [0j] * 4
-    for i, a in enumerate(q.amps):
-        bit = (i >> shift) & 1
-        if op == "X":
-            out[i ^ mask] += a
-        elif op == "Z":
-            out[i] += -a if bit else a
-        else:  # Y = iXZ
-            out[i ^ mask] += 1j * (-a if bit else a)
-    return TwoQubitState(tuple(out))
+    return TwoQubitState(pauli_amps(q.amps, qubit, op))
 
 
 class SpatialFockState:

@@ -153,8 +153,9 @@ def full_fock_density(
     centers = 2.0 * cfg.alpha * np.cos(cfg.theta * nets)
     xs = uniform_grid(centers.tolist(), cfg.grid_step, _GRID_PAD)
     psi = quadrature_wavefunctions(xs, cfg.resolved_n_max)
-    branch_waves = joint @ psi.astype(complex)
-    return xs, np.sum(np.abs(branch_waves) ** 2, axis=0)
+    # psi is real: two real products avoid a complex copy of it.
+    re, im = joint.real @ psi, joint.imag @ psi
+    return xs, np.sum(re * re + im * im, axis=0)
 
 
 def full_fock_collapse(

@@ -7,15 +7,22 @@ import pytest
 from kerrbell import (
     AnalyzerConfig,
     BellLabel,
+    Classification,
     DetectionPolicy,
     NotABellState,
+    Symmetry,
     TwoQubitState,
+    apply_pauli,
     bell_detect,
     bell_state,
+    classify,
     error_probability,
     fidelity,
     ideal_label,
+    kraus,
+    sample_outcome,
 )
+from conftest import random_state
 
 ALL_POLICIES = [
     DetectionPolicy(early_exit=ee, omit_final=om)
@@ -152,3 +159,43 @@ class TestIdealLabel:
         )
         with pytest.raises(NotABellState):
             ideal_label(q)
+
+
+def reference_detect(q, cfg, policy, rng):
+    """bell_detect rebuilt from apply_pauli, sample_outcome, classify and kraus."""
+    psi_minus = bell_state(BellLabel.PSI_MINUS)
+    paulis = [None, ("X", 2), ("Z", 2), ("X", 2)][: 3 if policy.omit_final else 4]
+    state, steps, applied, first = q, [], [], None
+    for k, pauli in enumerate(paulis):
+        if pauli is not None:
+            state = apply_pauli(state, pauli[1], pauli[0])
+            applied.append(pauli)
+        x = sample_outcome(fidelity(state, psi_minus), cfg, rng)
+        singlet = classify(x, cfg.theta, cfg.alpha) is Classification.BALANCED
+        state = kraus(state, x, cfg)
+        steps.append((pauli, Symmetry.SINGLET if singlet else Symmetry.TRIPLET))
+        if singlet and first is None:
+            first = k + 1
+            if policy.early_exit:
+                for op, qubit in reversed(applied):
+                    state = apply_pauli(state, qubit, op)
+                return steps, state
+    closing = ("Y", 2) if policy.omit_final else ("Z", 2)
+    return steps, apply_pauli(state, closing[1], closing[0])
+
+
+@pytest.mark.parametrize("early_exit", [True, False])
+@pytest.mark.parametrize("omit_final", [True, False])
+def test_matches_reference_chain_on_non_bell_input(early_exit, omit_final):
+    cfg = AnalyzerConfig(theta=0.3, alpha=5.0)
+    policy = DetectionPolicy(early_exit=early_exit, omit_final=omit_final)
+    inputs = np.random.default_rng(7)
+    rng = np.random.default_rng(11)
+    ref = np.random.default_rng(11)
+    for _ in range(50):
+        q = random_state(inputs)
+        trace = bell_detect(q, cfg, policy, rng)
+        steps, post = reference_detect(q, cfg, policy, ref)
+        assert list(trace.steps) == steps
+        assert trace.analyzer_count == len(steps)
+        assert 1.0 - fidelity(trace.post_state, post) <= 1e-12

@@ -175,6 +175,19 @@ class TestMainEntry:
 
     def test_exit_two_on_invalid(self, capsys):
         assert main(["symmetry", "--trials", "0"]) == 2
+        assert main(["symmetry", "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["symmetry", "--input", "1e-200,1e-200,0,0"],
+            ["symmetry", "--input", "1e308,1e308,0,0"],
+            ["demo2mode", "--input", "1e-200,1e-200"],
+            ["demo2mode", "--input", "0.70710678,0.70710678"],
+        ],
+    )
+    def test_exit_zero_on_tiny_and_huge_amplitudes(self, capsys, argv):
+        assert main(argv + ["--trials", "2", "--seed", "1"]) == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -186,9 +199,11 @@ class TestMainEntry:
             ["sweep", "--targets", "nan"],
             ["sweep", "--targets", "inf"],
             ["sweep", "--theta", "1e-300"],
-            ["symmetry", "--input", "1e308,1e308,0,0"],
+            ["symmetry", "--theta", "-inf"],
             ["symmetry", "--grid-step", "nan"],
             ["oracle-check", "--alpha", "4", "--grid-step", "1e-6"],
+            ["symmetry", "--alpha", "-1e+308"],
+            ["symmetry", "--input", "-1e400,0,0,0"],
         ],
     )
     def test_exit_two_outside_domain(self, capsys, argv):
@@ -225,3 +240,55 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"] is True
+
+
+class TestPinnedStreams:
+    """Seeded counts pinned to their current values: a change to the order or
+    number of random draws must be deliberate and update these numbers."""
+
+    LOW = dict(theta=0.3, alpha=5.0)  # alpha*theta^2 = 0.45: errors are common
+    MIXED = "0.5,0.5j,-0.5,0.5"
+
+    @pytest.mark.parametrize(
+        "spec, counts",
+        [
+            (dict(input=MIXED, seed=1), (77, 223)),
+            (dict(input=MIXED, seed=1, ideal=True), (76, 224)),
+            (dict(input="PhiPlus", seed=2), (1, 299)),
+            (dict(input="PsiMinus", seed=2), (300, 0)),
+            (dict(input="PhiPlus", seed=5, **LOW), (54, 246)),
+            (dict(input="PsiPlus", seed=2, ideal=True), (0, 300)),
+        ],
+    )
+    def test_symmetry_counts(self, spec, counts):
+        spec = dict(dict(theta=0.3, alpha=1.5 / 0.09), **spec)
+        report = run(_spec(command="symmetry", trials=300, **spec))
+        assert (report["counts"]["Singlet"], report["counts"]["Triplet"]) == counts
+
+    @pytest.mark.parametrize(
+        "early_exit, omit_final, rows",
+        [
+            (True, False, [((33, 5, 1, 1), 1.45), ((6, 22, 7, 5), 3.075),
+                           ((7, 4, 28, 1), 2.05), ((7, 3, 4, 26), 2.625)]),
+            (False, True, [((32, 7, 1, 0), 3.0), ((7, 23, 5, 5), 3.0),
+                           ((10, 8, 22, 0), 3.0), ((5, 4, 10, 21), 3.0)]),
+        ],
+    )
+    def test_bell_label_counts(self, early_exit, omit_final, rows):
+        report = run(_spec(command="bell", trials=40, seed=6, early_exit=early_exit,
+                           omit_final=omit_final, **self.LOW))
+        labels = ("PsiMinus", "PsiPlus", "PhiMinus", "PhiPlus")
+        got = [(tuple(r["label_counts"][k] for k in labels), r["mean_analyzer_count"])
+               for r in report["results"]]
+        assert got == rows
+
+    def test_bell_mixed_input(self):
+        report = run(_spec(command="bell", theta=0.3, alpha=1.5 / 0.09, trials=40, seed=3,
+                           input=self.MIXED))
+        row = report["results"][0]
+        assert row["label_counts"] == {"PsiMinus": 10, "PsiPlus": 9, "PhiMinus": 0, "PhiPlus": 21}
+        assert row["mean_analyzer_count"] == 2.725
+
+    def test_sweep_errors(self):
+        report = run(_spec(command="sweep", theta=0.3, trials=200, seed=4, targets="0.3,0.6"))
+        assert [row["empirical"] for row in report["sweep"]] == [0.295, 0.12]

@@ -2,6 +2,7 @@
 the CLI's exit codes at the edges of the parameter domain."""
 
 import contextlib
+import copy
 import io
 import math
 
@@ -13,16 +14,22 @@ from hypothesis import strategies as st
 from kerrbell import (
     AnalyzerConfig,
     BellLabel,
+    Classification,
+    TwoQubitState,
     ZeroDensity,
     apply_beam_splitter,
     apply_phase_shift,
     bell_state,
+    classify,
     collapse,
     extract,
     fidelity,
     kraus,
+    overlap,
     phase_phi,
     run_symmetry_analyzer,
+    sample_outcome,
+    shot,
     symmetry_pointer,
 )
 from kerrbell.cli import main
@@ -59,6 +66,28 @@ def test_kraus_matches_pipeline(cfg, seed, bunched, offset):
     q = random_state(np.random.default_rng(seed))
     x = peaks(cfg)[bunched] + offset
     assert 1.0 - fidelity(kraus(q, x, cfg), pipeline(q, x, cfg)) <= 1e-12
+
+
+@settings(deadline=None, max_examples=150)
+@given(cfg=st.sampled_from(PINNED), seed=seeds, ideal=st.booleans())
+def test_shot_matches_kraus_with_the_same_draws(cfg, seed, ideal):
+    q = random_state(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    ref = copy.deepcopy(rng)
+    singlet, post = shot(q.amps, cfg, rng, ideal)
+    psi_minus = bell_state(BellLabel.PSI_MINUS)
+    if ideal:
+        expected = ref.random() < fidelity(q, psi_minus)
+        c = overlap(psi_minus, q)
+        p_t_q = TwoQubitState.normalized([a - c * s for a, s in zip(q.amps, psi_minus.amps)])
+        want = psi_minus if expected else p_t_q
+    else:
+        x = sample_outcome(fidelity(q, psi_minus), cfg, ref)
+        expected = classify(x, cfg.theta, cfg.alpha) is Classification.BALANCED
+        want = kraus(q, x, cfg)
+    assert singlet == expected
+    assert 1.0 - fidelity(TwoQubitState(post), want) <= 1e-12
+    assert rng.random() == ref.random()  # the shot drew exactly what the reference drew
 
 
 def test_pipeline_density_vanishes_between_separated_peaks():
@@ -104,14 +133,18 @@ def edge_or_within(lo, hi):
     grid_step=edge_or_within(0.0, 1.0),
     targets=st.lists(edge_or_within(0.0, 10.0), min_size=1, max_size=3),
     trials=st.integers(min_value=1, max_value=3),
+    separate=st.booleans(),
 )
-def test_main_exits_with_a_documented_code(command, theta, alpha, grid_step, targets, trials):
-    # "--flag=value" keeps argparse from reading "-inf" as an option
-    argv = [
-        command, f"--theta={theta!r}", f"--alpha={alpha!r}",
-        f"--grid-step={grid_step!r}", f"--trials={trials}", "--seed=1",
-    ]
+def test_main_exits_with_a_documented_code(
+    command, theta, alpha, grid_step, targets, trials, separate
+):
+    # Values go in as "--flag=value" or as a separate token such as "-inf".
+    options = {"--theta": repr(theta), "--alpha": repr(alpha),
+               "--grid-step": repr(grid_step), "--trials": str(trials), "--seed": "1"}
     if command == "sweep":
-        argv.append("--targets=" + ",".join(map(repr, targets)))
+        options["--targets"] = ",".join(map(repr, targets))
+    argv = [command]
+    for flag, value in options.items():
+        argv += [flag, value] if separate else [f"{flag}={value}"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2, 3)
