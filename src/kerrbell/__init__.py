@@ -62,6 +62,7 @@ from .oracle import (
     OracleConfig,
     full_fock_collapse,
     full_fock_density,
+    full_fock_reference,
     poisson_tail,
     quadrature_wavefunctions,
 )

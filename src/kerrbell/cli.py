@@ -43,7 +43,7 @@ from .analyzers import (
     two_mode_pointer,
 )
 from .bell_detector import DetectionPolicy, bell_detect, ideal_label
-from .oracle import OracleConfig, full_fock_collapse, full_fock_density
+from .oracle import OracleConfig, full_fock_reference
 
 DEFAULT_ALPHA = math.sqrt(1.3e4)
 COMMANDS = ("demo2mode", "symmetry", "bell", "sweep", "oracle-check")
@@ -372,20 +372,16 @@ def _run_oracle_check(spec: ExperimentSpec) -> dict:
     max_density_dev = 0.0
     max_collapse_dev = 0.0
     details = []
-    bunched_center = 2.0 * spec.alpha * math.cos(2.0 * spec.theta)
-    midpoint = spec.alpha * (1.0 + math.cos(2.0 * spec.theta))
-    balanced_center = 2.0 * spec.alpha
-    for label in BellLabel:
-        s = apply_beam_splitter(embed(bell_state(label)))
+    cos2 = math.cos(2.0 * spec.theta)  # x at the bunched peak, the threshold, the balanced peak
+    xs = (2.0 * spec.alpha * cos2, spec.alpha * (1.0 + cos2), 2.0 * spec.alpha)
+    splits = [apply_beam_splitter(embed(bell_state(label))) for label in BellLabel]
+    refs = full_fock_reference(splits, ocfg, ANALYZER_WEIGHTS, xs)
+    for label, (grid, p_oracle, conditionals) in zip(BellLabel, refs):
         pd = symmetry_pointer(bell_state(label), cfg)
-        xs, p_oracle = full_fock_density(s, ocfg, ANALYZER_WEIGHTS)
-        p_pointer = homodyne_density(pd, xs)
-        density_dev = float(np.max(np.abs(p_oracle - p_pointer)))
-        collapse_dev = 0.0
-        for x in (bunched_center, midpoint, balanced_center):
-            ref = full_fock_collapse(s, ocfg, ANALYZER_WEIGHTS, x)
-            got = collapse(pd, x)
-            collapse_dev = max(collapse_dev, 1.0 - got.fidelity(ref))
+        density_dev = float(np.max(np.abs(p_oracle - homodyne_density(pd, grid))))
+        collapse_dev = max(
+            1.0 - collapse(pd, x).fidelity(ref) for x, ref in zip(xs, conditionals)
+        )
         max_density_dev = max(max_density_dev, density_dev)
         max_collapse_dev = max(max_collapse_dev, collapse_dev)
         details.append(

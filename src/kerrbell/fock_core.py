@@ -48,7 +48,7 @@ class TwoQubitState:
         if len(amps) != 4:
             raise ValueError("a two-qubit state needs exactly 4 amplitudes")
         nsq = sum(abs(a) ** 2 for a in amps)
-        if abs(nsq - 1.0) > _NORM_TOL:
+        if not abs(nsq - 1.0) <= _NORM_TOL:  # also rejects a NaN norm
             raise ValueError(
                 f"amplitudes are not normalized (|.|^2 = {nsq!r}); "
                 "use TwoQubitState.normalized"
@@ -162,6 +162,8 @@ class SpatialFockState:
                     f"occupation {occ} exceeds the bound of {max_total} photons"
                 )
             amp = complex(amp)
+            if not cmath.isfinite(amp):
+                raise ValueError(f"non-finite amplitude {amp!r} at {occ}")
             if abs(amp) > _PRUNE_TOL:
                 pruned[occ] = pruned.get(occ, 0j) + amp
         if not pruned or n_modes is None:

@@ -30,6 +30,7 @@ from .pointer import uniform_grid
 
 _TAIL_TOL = 1e-12
 _GRID_PAD = 8.0  # grid half-width around the outermost pointer centers
+_BLOCK = 2048  # grid points per wavefunction table block
 
 
 def default_n_max(alpha: float) -> int:
@@ -95,7 +96,7 @@ def quadrature_wavefunctions(xs: np.ndarray, n_max: int) -> np.ndarray:
 
     <x|0> = (2*pi)**-0.25 * exp(-x**2/4), the beta = 0 limit of the coherent
     overlap; higher n follow the stable two-term recursion of the normalized
-    Hermite functions evaluated at x/sqrt2.
+    Hermite functions evaluated at x/sqrt2, each row written in place.
     """
     xs = np.asarray(xs, dtype=float)
     z = xs / math.sqrt(2.0)
@@ -103,8 +104,11 @@ def quadrature_wavefunctions(xs: np.ndarray, n_max: int) -> np.ndarray:
     psi[0] = (2.0 * math.pi) ** -0.25 * np.exp(-xs * xs / 4.0)
     if n_max >= 1:
         psi[1] = math.sqrt(2.0) * z * psi[0]
-    for n in range(2, n_max + 1):
-        psi[n] = math.sqrt(2.0 / n) * z * psi[n - 1] - math.sqrt((n - 1.0) / n) * psi[n - 2]
+    tmp = np.empty(xs.size)
+    for n in range(2, n_max + 1):  # sqrt(2/n)*z*psi[n-1] - sqrt((n-1)/n)*psi[n-2]
+        np.multiply(math.sqrt(2.0 / n), z, out=psi[n])
+        psi[n] *= psi[n - 1]
+        psi[n] -= np.multiply(math.sqrt((n - 1.0) / n), psi[n - 2], out=tmp)
     return psi
 
 
@@ -119,28 +123,79 @@ def _coherent_coefficients(alpha: float, n_max: int) -> np.ndarray:
     return np.exp(logs)
 
 
-def _net_weights(s: SpatialFockState, weights: tuple[int, ...]) -> tuple[list, np.ndarray]:
-    if len(weights) != s.n_modes:
-        raise ValueError(f"need {s.n_modes} weights, got {len(weights)}")
-    occs, nets = [], []
-    for occ, _ in s.items():
-        occs.append(occ)
-        nets.append(sum(w * n for w, n in zip(weights, occ)))
-    return occs, np.asarray(nets)
-
-
 def _joint_amplitudes(
     s: SpatialFockState,
     cfg: OracleConfig,
     weights: tuple[int, ...],
-) -> tuple[list, np.ndarray, np.ndarray]:
-    """Joint coefficients A[occ, n] after the diagonal cross-Kerr phases."""
-    occs, nets = _net_weights(s, weights)
+) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Occupations, net weights and joint coefficients A[occ, n] after the
+    diagonal cross-Kerr phases."""
+    if len(weights) != s.n_modes:
+        raise ValueError(f"need {s.n_modes} weights, got {len(weights)}")
+    occs, amps = zip(*s.items())
+    nets = np.asarray([sum(w * n for w, n in zip(weights, occ)) for occ in occs])
     c = _coherent_coefficients(cfg.alpha, cfg.resolved_n_max)
     n = np.arange(cfg.resolved_n_max + 1)
-    amps = np.asarray([s.amplitude(occ) for occ in occs])
     phases = np.exp(1j * cfg.theta * np.outer(nets, n))
-    return occs, nets, amps[:, None] * c[None, :] * phases
+    return occs, nets, np.asarray(amps)[:, None] * c[None, :] * phases
+
+
+def _densities(joints: list, cfg: OracleConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(grid, sum_occ |joint @ psi|^2) per joint, from tables of at most _BLOCK grid
+    points; joints on equal grids (linspace: equal ends and size) share each block."""
+    groups: dict[tuple, tuple[np.ndarray, list]] = {}
+    out = []
+    for _, nets, joint in joints:
+        centers = 2.0 * cfg.alpha * np.cos(cfg.theta * nets)
+        xs = uniform_grid(centers.tolist(), cfg.grid_step, _GRID_PAD)
+        p = np.empty(xs.size)
+        out.append((xs, p))
+        groups.setdefault((xs[0], xs[-1], xs.size), (xs, []))[1].append((joint, p))
+    for xs, members in groups.values():
+        for lo in range(0, xs.size, _BLOCK):
+            psi = quadrature_wavefunctions(xs[lo : lo + _BLOCK], cfg.resolved_n_max)
+            for joint, p in members:
+                # psi is real: two real products avoid a complex copy of it.
+                re, im = joint.real @ psi, joint.imag @ psi
+                p[lo : lo + _BLOCK] = np.sum(re * re + im * im, axis=0)
+    return out
+
+
+def _conditionals(
+    s: SpatialFockState, joint_amps: tuple, cfg: OracleConfig, xs, psi: np.ndarray, convention: str
+) -> list[SpatialFockState]:
+    """Conditional states of s at each x in xs, psi being the table at xs."""
+    if convention not in ("analytic", "fock"):
+        raise ValueError(f"convention must be 'analytic' or 'fock', got {convention!r}")
+    occs, nets, joint = joint_amps
+    bridge = np.exp(-0.5j * cfg.alpha**2 * np.sin(2.0 * cfg.theta * nets))
+    out = []
+    for j, x in enumerate(xs):
+        amps = joint @ psi[:, j].astype(complex)
+        if convention == "analytic":
+            amps = amps * bridge
+        nsq = float(np.sum(np.abs(amps) ** 2))
+        if nsq < 1e-300:
+            raise ZeroDensity(f"conditional density at x={x!r} is numerically zero")
+        scale = 1.0 / math.sqrt(nsq)
+        state = {occ: complex(a) * scale for occ, a in zip(occs, amps)}
+        out.append(SpatialFockState(state, max_total=s.max_total))
+    return out
+
+
+def full_fock_reference(
+    states: list[SpatialFockState],
+    cfg: OracleConfig,
+    weights: tuple[int, ...],
+    xs: tuple[float, ...],
+    convention: str = "analytic",
+) -> list[tuple[np.ndarray, np.ndarray, list[SpatialFockState]]]:
+    """(grid, density, conditional states at each of xs) for each state.  Each joint
+    state is built once, and states share the table at xs and equal grids' blocks."""
+    joints = [_joint_amplitudes(s, cfg, weights) for s in states]
+    psi = quadrature_wavefunctions(np.asarray(xs, dtype=float), cfg.resolved_n_max)
+    conds = [_conditionals(s, j, cfg, xs, psi, convention) for s, j in zip(states, joints)]
+    return [(grid, p, c) for (grid, p), c in zip(_densities(joints, cfg), conds)]
 
 
 def full_fock_density(
@@ -149,13 +204,7 @@ def full_fock_density(
     weights: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact homodyne density of the truncated joint state, tabulated on a grid."""
-    occs, nets, joint = _joint_amplitudes(s, cfg, weights)
-    centers = 2.0 * cfg.alpha * np.cos(cfg.theta * nets)
-    xs = uniform_grid(centers.tolist(), cfg.grid_step, _GRID_PAD)
-    psi = quadrature_wavefunctions(xs, cfg.resolved_n_max)
-    # psi is real: two real products avoid a complex copy of it.
-    re, im = joint.real @ psi, joint.imag @ psi
-    return xs, np.sum(re * re + im * im, axis=0)
+    return _densities([_joint_amplitudes(s, cfg, weights)], cfg)[0]
 
 
 def full_fock_collapse(
@@ -171,18 +220,5 @@ def full_fock_collapse(
     b = alpha*exp(i*theta*net_weight), matching the coherent-overlap phase
     convention of the pointer module; "fock" leaves the raw expansion.
     """
-    if convention not in ("analytic", "fock"):
-        raise ValueError(f"convention must be 'analytic' or 'fock', got {convention!r}")
-    occs, nets, joint = _joint_amplitudes(s, cfg, weights)
     psi = quadrature_wavefunctions(np.asarray([float(x)]), cfg.resolved_n_max)
-    amps = joint @ psi[:, 0].astype(complex)
-    if convention == "analytic":
-        amps = amps * np.exp(-0.5j * cfg.alpha**2 * np.sin(2.0 * cfg.theta * nets))
-    nsq = float(np.sum(np.abs(amps) ** 2))
-    if nsq < 1e-300:
-        raise ZeroDensity(f"conditional density at x={x!r} is numerically zero")
-    scale = 1.0 / math.sqrt(nsq)
-    return SpatialFockState(
-        {occ: complex(a) * scale for occ, a in zip(occs, amps)},
-        max_total=s.max_total,
-    )
+    return _conditionals(s, _joint_amplitudes(s, cfg, weights), cfg, [x], psi, convention)[0]

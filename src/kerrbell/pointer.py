@@ -65,7 +65,7 @@ class PointerDecomposition:
         if not by_occ:
             raise ValueError("decomposition needs at least one branch")
         nsq = sum(abs(br.d) ** 2 for br in by_occ.values())
-        if abs(nsq - 1.0) > _NORM_TOL:
+        if not abs(nsq - 1.0) <= _NORM_TOL:  # also rejects a NaN norm
             raise ValueError(f"signal amplitudes are not normalized (|.|^2 = {nsq!r})")
         ordered = tuple(by_occ[occ] for occ in sorted(by_occ))
         self._branches = ordered

@@ -191,6 +191,17 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             SpatialFockState({(1, 0, 0, 1): 0.5})
 
+    def test_nan_amplitude_rejected(self):
+        # abs(nan - 1) > tol is False, so a plain tolerance test lets NaN through.
+        with pytest.raises(ValueError, match="not normalized"):
+            TwoQubitState((math.nan, 0, 0, 0))
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf])
+    def test_non_finite_fock_amplitude_rejected(self, bad):
+        # NaN fails the pruning test abs(amp) > tol, so it must be caught first.
+        with pytest.raises(ValueError, match="non-finite"):
+            SpatialFockState({(1, 1): 1.0, (2, 0): bad})
+
     def test_normalized_constructor(self):
         q = TwoQubitState.normalized((1, 1, 0, 0))
         assert q.amps[0] == pytest.approx(R, abs=1e-15)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -18,6 +19,7 @@ from kerrbell import (
     embed,
     full_fock_collapse,
     full_fock_density,
+    full_fock_reference,
     homodyne_density,
     poisson_tail,
     quadrature_wavefunctions,
@@ -26,6 +28,7 @@ from kerrbell import (
     two_mode_pointer,
     x_overlap,
 )
+from kerrbell.oracle import _BLOCK
 
 
 def _split_bell(label):
@@ -75,6 +78,19 @@ class TestQuadratureWavefunctions:
         expected = np.array([x_overlap(0.0, x).real for x in xs])
         assert np.max(np.abs(psi[0] - expected)) < 1e-14
 
+    def test_in_place_recurrence_matches_expression(self):
+        xs = np.linspace(-30.0, 30.0, 3001)
+        z = xs / math.sqrt(2.0)
+        expected = np.empty((77, xs.size))
+        expected[0] = (2.0 * math.pi) ** -0.25 * np.exp(-xs * xs / 4.0)
+        expected[1] = math.sqrt(2.0) * z * expected[0]
+        for n in range(2, 77):
+            expected[n] = (
+                math.sqrt(2.0 / n) * z * expected[n - 1]
+                - math.sqrt((n - 1.0) / n) * expected[n - 2]
+            )
+        assert np.array_equal(quadrature_wavefunctions(xs, 76), expected)
+
     def test_orthonormality(self):
         xs = np.linspace(-25.0, 25.0, 5001)
         psi = quadrature_wavefunctions(xs, 25)
@@ -115,6 +131,38 @@ class TestDensity:
         s = _split_bell(BellLabel.PHI_PLUS)
         xs, ps = full_fock_density(s, cfg, ANALYZER_WEIGHTS)
         assert trapezoid(ps, xs) == pytest.approx(1.0, abs=1e-9)
+
+    def test_blocked_density_matches_direct_sum(self):
+        # One center, so the grid spans 16 at the step: 2.5 table blocks, the last
+        # one partial.
+        alpha, theta = 2.0, 0.3
+        cfg = OracleConfig(alpha=alpha, theta=theta, grid_step=16.0 / (2.5 * _BLOCK))
+        s = _split_bell(BellLabel.PHI_MINUS)
+        xs, ps = full_fock_density(s, cfg, ANALYZER_WEIGHTS)
+        assert 2 * _BLOCK < xs.size < 3 * _BLOCK
+        n_max = cfg.resolved_n_max
+        n = np.arange(n_max + 1)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+        c = np.exp(n * math.log(alpha) - 0.5 * log_fact - alpha * alpha / 2.0)
+        psi = quadrature_wavefunctions(xs, n_max)
+        direct = np.zeros(xs.size)
+        for occ, amp in s.items():
+            net = sum(w * k for w, k in zip(ANALYZER_WEIGHTS, occ))
+            direct += np.abs((amp * c * np.exp(1j * theta * net * n)) @ psi) ** 2
+        assert np.max(np.abs(ps - direct)) <= 1e-15
+
+    def test_memory_does_not_grow_with_n_max_times_points(self):
+        # 160k grid points x 77 rows would be a ~99 MB table if built in one piece.
+        cfg = OracleConfig(alpha=4.0, theta=0.3, grid_step=1e-4)
+        s = _split_bell(BellLabel.PHI_PLUS)
+        tracemalloc.start()
+        try:
+            xs, _ = full_fock_density(s, cfg, ANALYZER_WEIGHTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert xs.size > 150_000
+        assert peak < 32 * 2**20
 
     def test_n_max_convergence(self):
         base = OracleConfig(alpha=2.0, theta=0.3)
@@ -175,6 +223,26 @@ class TestCollapse:
         cfg = OracleConfig(alpha=1.0, theta=0.1)
         with pytest.raises(ValueError):
             full_fock_collapse(SpatialFockState({(1, 1): 1.0}), cfg, (1, -1), 2.0, "x")
+
+
+class TestReference:
+    @pytest.mark.parametrize("convention", ["analytic", "fock"])
+    @pytest.mark.parametrize("theta", [0.1, math.pi / 4])
+    @pytest.mark.parametrize("alpha", [2.0, 4.0])
+    def test_matches_single_state_calls(self, alpha, theta, convention):
+        cfg = OracleConfig(alpha=alpha, theta=theta)
+        states = [_split_bell(label) for label in BellLabel]
+        xs = (2.0 * alpha * math.cos(2.0 * theta), alpha * (1.0 + math.cos(2.0 * theta)), 2.0 * alpha)
+        refs = full_fock_reference(states, cfg, ANALYZER_WEIGHTS, xs, convention)
+        assert len(refs) == len(states)
+        for s, (grid, density, conditionals) in zip(states, refs):
+            grid1, density1 = full_fock_density(s, cfg, ANALYZER_WEIGHTS)
+            assert np.array_equal(grid, grid1)
+            assert np.array_equal(density, density1)
+            assert len(conditionals) == len(xs)
+            for x, got in zip(xs, conditionals):
+                ref = full_fock_collapse(s, cfg, ANALYZER_WEIGHTS, x, convention)
+                assert got.amplitudes == ref.amplitudes
 
 
 class TestCrossValidation:

@@ -110,6 +110,11 @@ class TestCrossKerr:
                 [PointerBranch((1, 1), r, 2.0), PointerBranch((1, 1), r, 2.0)]
             )
 
+    def test_nan_amplitude_rejected(self):
+        # abs(nan - 1) > tol is False, so a plain tolerance test lets NaN through.
+        with pytest.raises(ValueError, match="not normalized"):
+            PointerDecomposition([PointerBranch((1, 1), math.nan, 1.0)])
+
 
 class TestXOverlap:
     def test_real_beta_peak(self):
