@@ -51,11 +51,13 @@ from .analyzers import (
     symmetry_pointer,
     two_mode_input,
     two_mode_pointer,
+    two_mode_shot,
 )
 from .bell_detector import (
     DetectionPolicy,
     DetectionTrace,
     bell_detect,
+    bell_detect_amps,
     ideal_label,
 )
 from .oracle import (

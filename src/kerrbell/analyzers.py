@@ -17,7 +17,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidSpec
-from .fock_core import Amps, SpatialFockState, TwoQubitState, apply_beam_splitter, embed
+from .fock_core import (
+    PRUNE_TOL,
+    Amps,
+    SpatialFockState,
+    TwoQubitState,
+    apply_beam_splitter,
+    embed,
+)
 from .pointer import PointerDecomposition, apply_cross_kerr, attach_probe
 
 TWO_PI = 2.0 * math.pi
@@ -28,6 +35,9 @@ MAX_ALPHA = 1e6  # largest validated probe amplitude
 # and bunched states by +/- 2*theta.
 ANALYZER_WEIGHTS = (1, 1, -1, -1)
 DEMO_WEIGHTS = (1, -1)
+# The demonstrator's occupations in SpatialFockState.items() order; its
+# amplitude tuples run over these.
+DEMO_OCCUPATIONS = ((0, 2), (1, 1), (2, 0))
 _R = 1.0 / math.sqrt(2.0)  # PsiMinus = (0, _R, -_R, 0) over HH, HV, VH, VV
 
 
@@ -59,15 +69,29 @@ def check_domain(
         raise InvalidSpec(f"grid_step must be in (0, 1], got {grid_step!r}")
 
 
+def _peaks(theta: float, alpha: float) -> tuple[float, float, float]:
+    """(Balanced peak 2*alpha, Bunched peak 2*alpha*cos(2*theta), the midpoint
+    threshold alpha*(1 + cos(2*theta)) between them)."""
+    cos2 = math.cos(2.0 * theta)
+    return 2.0 * alpha, 2.0 * alpha * cos2, alpha * (1.0 + cos2)
+
+
 @dataclass(frozen=True)
 class AnalyzerConfig:
-    """Operating point: per-photon cross-phase and probe amplitude."""
+    """Operating point: per-photon cross-phase and probe amplitude.
+
+    balanced_peak, bunched_peak and threshold (see _peaks) are set once here
+    as plain attributes, not fields, for the shots to read.
+    """
 
     theta: float
     alpha: float
 
     def __post_init__(self) -> None:
         check_domain(self.theta, self.alpha)
+        peaks = _peaks(self.theta, self.alpha)
+        for name, value in zip(("balanced_peak", "bunched_peak", "threshold"), peaks):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -82,7 +106,7 @@ def phase_phi(x: float, theta: float, alpha: float) -> float:
     phi(x) = alpha * sin(2*theta) * (x - 2*alpha*cos(2*theta)), the phase a
     pointer at alpha*exp(+/-2i*theta) imprints on its branch at outcome x.
     """
-    phi = alpha * math.sin(2.0 * theta) * (x - 2.0 * alpha * math.cos(2.0 * theta))
+    phi = alpha * math.sin(2.0 * theta) * (x - _peaks(theta, alpha)[1])
     phi %= TWO_PI
     if phi >= TWO_PI:  # guard the rounding edge of the modulo
         phi = 0.0
@@ -97,8 +121,7 @@ def classify(x: float, theta: float, alpha: float) -> Classification:
     maximum-likelihood split for equal-variance Gaussians.  Ties go to
     Balanced (the larger-x peak).
     """
-    x_th = alpha * (1.0 + math.cos(2.0 * theta))
-    return Classification.BALANCED if x >= x_th else Classification.BUNCHED
+    return Classification.BALANCED if x >= _peaks(theta, alpha)[2] else Classification.BUNCHED
 
 
 def error_probability(theta: float, alpha: float, mode: str = "small-angle") -> float:
@@ -131,6 +154,12 @@ def two_mode_input(d1: complex, d2: complex, sign: int) -> SpatialFockState:
     return SpatialFockState({o: a for o, a in amps.items() if abs(a) > 0}, max_total=2)
 
 
+def two_mode_amps(d1: complex, d2: complex, sign: int) -> Amps:
+    """two_mode_input as its amplitude tuple over DEMO_OCCUPATIONS."""
+    s = two_mode_input(d1, d2, sign)
+    return tuple(s.amplitude(occ) for occ in DEMO_OCCUPATIONS)
+
+
 def two_mode_pointer(
     d1: complex, d2: complex, sign: int, cfg: AnalyzerConfig
 ) -> PointerDecomposition:
@@ -146,17 +175,33 @@ def sample_outcome(p_balanced: float, cfg: AnalyzerConfig, rng: np.random.Genera
     u < p_balanced, else the Bunched peak 2*alpha*cos(2*theta); then one
     rng.standard_normal() is added to that peak.
     """
-    peak = 2.0 * cfg.alpha
-    if rng.random() >= p_balanced:
-        peak *= math.cos(2.0 * cfg.theta)
-    return peak + float(rng.standard_normal())
+    peak = cfg.bunched_peak if rng.random() >= p_balanced else cfg.balanced_peak
+    return peak + rng.standard_normal()
 
 
 def _kraus_weights(x: float, cfg: AnalyzerConfig) -> tuple[float, float]:
     """(g(x - 2*alpha), g(x - 2*alpha*cos(2*theta))) with g(u) = exp(-u**2/4)."""
-    u_b = x - 2.0 * cfg.alpha
-    u_t = x - 2.0 * cfg.alpha * math.cos(2.0 * cfg.theta)
+    u_b = x - cfg.balanced_peak
+    u_t = x - cfg.bunched_peak
     return math.exp(-u_b * u_b / 4.0), math.exp(-u_t * u_t / 4.0)
+
+
+def two_mode_shot(
+    amps: Amps, cfg: AnalyzerConfig, rng: np.random.Generator
+) -> tuple[bool, Amps]:
+    """One shot of the two-mode demonstrator on its amplitudes over DEMO_OCCUPATIONS.
+
+    Returns (balanced, post).  x comes from sample_outcome(|amps[1]|^2); post
+    is (g_T*amps[0], g_B*amps[1], g_T*amps[2]) normalized, the weights of K(x)
+    (see kraus), with every amplitude that SpatialFockState would prune set
+    to 0.
+    """
+    x = sample_outcome(abs(amps[1]) ** 2, cfg, rng)
+    g_b, g_t = _kraus_weights(x, cfg)
+    a0, a1, a2 = amps[0] * g_t, amps[1] * g_b, amps[2] * g_t
+    norm = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2)
+    post = tuple(a if abs(a) > PRUNE_TOL else 0j for a in (a0 / norm, a1 / norm, a2 / norm))
+    return x >= cfg.threshold, post
 
 
 def run_two_mode_demo(
@@ -171,11 +216,9 @@ def run_two_mode_demo(
     The phase-corrected post state is g_B*d1|1,1> + g_T*d2*(|2,0> +
     sign*|0,2>)/sqrt2, normalized, with the weights of K(x) (see kraus).
     """
-    s = two_mode_input(d1, d2, sign)
-    x = sample_outcome(abs(s.amplitude((1, 1))) ** 2, cfg, rng)
-    g_b, g_t = _kraus_weights(x, cfg)
-    post = {occ: a * (g_b if occ == (1, 1) else g_t) for occ, a in s.items()}
-    return classify(x, cfg.theta, cfg.alpha), SpatialFockState.normalized(post)
+    balanced, post = two_mode_shot(two_mode_amps(d1, d2, sign), cfg, rng)
+    cls = Classification.BALANCED if balanced else Classification.BUNCHED
+    return cls, SpatialFockState(dict(zip(DEMO_OCCUPATIONS, post)), max_total=2)
 
 
 def symmetry_pointer(q: TwoQubitState, cfg: AnalyzerConfig) -> PointerDecomposition:
@@ -236,7 +279,7 @@ def shot(
         g_s, g_t = float(singlet), float(not singlet)
     else:
         x = sample_outcome(p_s, cfg, rng)
-        singlet = classify(x, cfg.theta, cfg.alpha) is Classification.BALANCED
+        singlet = x >= cfg.threshold
         g_s, g_t = _kraus_weights(x, cfg)
     return singlet, _project(amps, c, g_s, g_t)
 

@@ -13,17 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotABellState
-from .fock_core import BellLabel, TwoQubitState, apply_pauli, bell_state, fidelity, pauli_amps
+from .fock_core import PAULI_MAPS, Amps, BellLabel, TwoQubitState, bell_state, fidelity
 from .analyzers import AnalyzerConfig, Symmetry, shot
 
 # Pauli applied (to qubit 2) before analyzer k = 2, 3, 4.
 _PRE_PAULIS: tuple[tuple[str, int] | None, ...] = (None, ("X", 2), ("Z", 2), ("X", 2))
-_LABEL_BY_POSITION = {
-    1: BellLabel.PSI_MINUS,
-    2: BellLabel.PHI_MINUS,
-    3: BellLabel.PHI_PLUS,
-    4: BellLabel.PSI_PLUS,
-}
+_PRE_MAPS = tuple(PAULI_MAPS[p] if p else None for p in _PRE_PAULIS)
+# Early exit after analyzer k undoes the Paulis applied so far, last first
+# (each is its own inverse).
+_UNDO_MAPS = tuple(tuple(reversed(_PRE_MAPS[1 : k + 1])) for k in range(4))
+_CLOSE_Z2, _CLOSE_Y2 = PAULI_MAPS["Z", 2], PAULI_MAPS["Y", 2]
+# The label a first Singlet at analyzer 1, 2, 3, 4 names; no Singlet names PsiPlus.
+LABEL_ORDER = (BellLabel.PSI_MINUS, BellLabel.PHI_MINUS, BellLabel.PHI_PLUS, BellLabel.PSI_PLUS)
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,37 @@ class DetectionTrace:
     analyzer_count: int
 
 
+def label_index(singlets: tuple[bool, ...]) -> int:
+    """Index into LABEL_ORDER of the label a run's Singlet outcomes name."""
+    return singlets.index(True) if True in singlets else 3
+
+
+def bell_detect_amps(
+    amps: Amps,
+    cfg: AnalyzerConfig,
+    policy: DetectionPolicy,
+    rng: np.random.Generator,
+    ideal: bool = False,
+) -> tuple[tuple[bool, ...], Amps]:
+    """bell_detect on a normalized (HH, HV, VH, VV) tuple: (singlets, post).
+
+    singlets holds one Singlet outcome per analyzer run, in order; post is
+    the output state's amplitudes.  The draws are those of one shot per
+    analyzer run.
+    """
+    singlets = []
+    for k in range(3 if policy.omit_final else 4):
+        if k:
+            amps = _PRE_MAPS[k](amps)
+        singlet, amps = shot(amps, cfg, rng, ideal)
+        singlets.append(singlet)
+        if singlet and policy.early_exit:
+            for undo in _UNDO_MAPS[k]:
+                amps = undo(amps)
+            return tuple(singlets), amps
+    return tuple(singlets), (_CLOSE_Y2 if policy.omit_final else _CLOSE_Z2)(amps)
+
+
 def bell_detect(
     q: TwoQubitState,
     cfg: AnalyzerConfig,
@@ -59,40 +91,23 @@ def bell_detect(
     analyzers run and the closing operation is Y2 instead.  With early_exit
     the run stops at the first Singlet and the identified Bell state is
     rebuilt by undoing the Paulis applied so far (each its own inverse).
+    The work is done by bell_detect_amps.
     """
-    n_analyzers = 3 if policy.omit_final else 4
-    closing = ("Y", 2) if policy.omit_final else ("Z", 2)
-
-    amps = q.amps
-    steps: list[tuple[tuple[str, int] | None, Symmetry]] = []
-    applied: list[tuple[str, int]] = []
-    first_singlet: int | None = None
-
-    for k in range(n_analyzers):
-        pauli = _PRE_PAULIS[k]
-        if pauli is not None:
-            amps = pauli_amps(amps, pauli[1], pauli[0])
-            applied.append(pauli)
-        singlet, amps = shot(amps, cfg, rng, ideal)
-        steps.append((pauli, Symmetry.SINGLET if singlet else Symmetry.TRIPLET))
-        if singlet and first_singlet is None:
-            first_singlet = k + 1
-            if policy.early_exit:
-                state = TwoQubitState(amps)
-                for op, qubit in reversed(applied):
-                    state = apply_pauli(state, qubit, op)
-                return DetectionTrace(
-                    tuple(steps), _LABEL_BY_POSITION[first_singlet], state, len(steps)
-                )
-
-    state = apply_pauli(TwoQubitState(amps), closing[1], closing[0])
-    label = _LABEL_BY_POSITION.get(first_singlet or 0, BellLabel.PSI_PLUS)
-    return DetectionTrace(tuple(steps), label, state, len(steps))
+    singlets, post = bell_detect_amps(q.amps, cfg, policy, rng, ideal)
+    steps = tuple(
+        (pauli, Symmetry.SINGLET if singlet else Symmetry.TRIPLET)
+        for pauli, singlet in zip(_PRE_PAULIS, singlets)
+    )
+    label = LABEL_ORDER[label_index(singlets)]
+    return DetectionTrace(steps, label, TwoQubitState(post), len(steps))
 
 
 def ideal_label(q: TwoQubitState) -> BellLabel:
-    """Which Bell state q is, for test assertions; global phase is ignored."""
-    for label in BellLabel:
+    """Which Bell state q is, global phase ignored; NotABellState if none.
+
+    The bell runner uses it to find each input's true label.
+    """
+    for label in LABEL_ORDER:
         if fidelity(q, bell_state(label)) >= 1.0 - 1e-9:
             return label
     raise NotABellState("state is not within 1e-9 of any single Bell state")

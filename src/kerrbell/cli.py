@@ -20,7 +20,6 @@ import numpy as np
 from .errors import InvalidSpec, KerrBellError
 from .fock_core import (
     BellLabel,
-    SpatialFockState,
     TwoQubitState,
     apply_beam_splitter,
     bell_state,
@@ -37,17 +36,20 @@ from .analyzers import (
     Symmetry,
     check_domain,
     error_probability,
-    run_two_mode_demo,
     shot,
     symmetry_pointer,
+    two_mode_amps,
     two_mode_pointer,
+    two_mode_shot,
 )
-from .bell_detector import DetectionPolicy, bell_detect, ideal_label
+from .bell_detector import LABEL_ORDER, DetectionPolicy, bell_detect_amps, ideal_label, label_index
 from .oracle import OracleConfig, full_fock_reference
 
 DEFAULT_ALPHA = math.sqrt(1.3e4)
 COMMANDS = ("demo2mode", "symmetry", "bell", "sweep", "oracle-check")
 _LABELS = {label.value: label for label in BellLabel}
+# (label name, index into LABEL_ORDER) in report order.
+_COUNT_KEYS = tuple((label.value, LABEL_ORDER.index(label)) for label in BellLabel)
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -176,23 +178,36 @@ def _density_csv(pointer, spec: ExperimentSpec) -> str | None:
     return str(path)
 
 
+def _demo_fidelity(a, b) -> float:
+    """SpatialFockState.fidelity on two demonstrator amplitude tuples."""
+    ov = a[0].conjugate() * b[0] + a[1].conjugate() * b[1] + a[2].conjugate() * b[2]
+    return min(1.0, abs(ov) ** 2)
+
+
 def _run_demo2mode(spec: ExperimentSpec) -> dict:
     d1, d2 = _parse_demo_input(spec.input)
     cfg = _analyzer_config(spec)
     csv_path = _density_csv(lambda: two_mode_pointer(d1, d2, spec.sign, cfg), spec)
     rng = np.random.default_rng(spec.seed)
-    balanced_target = SpatialFockState({(1, 1): 1.0 + 0j}, max_total=2)
+    amps = two_mode_amps(d1, d2, spec.sign)
     r = 1.0 / math.sqrt(2.0)
-    bunched_target = SpatialFockState(
-        {(2, 0): r, (0, 2): spec.sign * r}, max_total=2
-    )
-    counts = {c.value: 0 for c in Classification}
-    fid_sums = {c.value: 0.0 for c in Classification}
+    # Over DEMO_OCCUPATIONS (|0,2>, |1,1>, |2,0>).
+    balanced_target = (0j, 1.0 + 0j, 0j)
+    bunched_target = (complex(spec.sign * r), 0j, complex(r))
+    n_balanced = 0
+    fid_balanced = fid_bunched = 0.0
     for _ in range(spec.trials):
-        cls, post = run_two_mode_demo(d1, d2, spec.sign, cfg, rng)
-        counts[cls.value] += 1
-        target = balanced_target if cls is Classification.BALANCED else bunched_target
-        fid_sums[cls.value] += post.fidelity(target)
+        balanced, post = two_mode_shot(amps, cfg, rng)
+        if balanced:
+            n_balanced += 1
+            fid_balanced += _demo_fidelity(post, balanced_target)
+        else:
+            fid_bunched += _demo_fidelity(post, bunched_target)
+    counts = {
+        Classification.BALANCED.value: n_balanced,
+        Classification.BUNCHED.value: spec.trials - n_balanced,
+    }
+    fid_sums = dict(zip(counts, (fid_balanced, fid_bunched)))
     report = {
         "spec": dict(vars(spec)),
         "counts": counts,
@@ -224,12 +239,13 @@ def _run_symmetry(spec: ExperimentSpec) -> dict:
     csv_path = _density_csv(lambda: symmetry_pointer(q, cfg), spec)
     rng = np.random.default_rng(spec.seed)
     true_symmetry = _true_symmetry(q)
+    amps, ideal = q.amps, spec.ideal
     n_singlet = 0
     fid_sum = 0.0
     for _ in range(spec.trials):
-        singlet, post = shot(q.amps, cfg, rng, spec.ideal)
+        singlet, post = shot(amps, cfg, rng, ideal)
         n_singlet += singlet
-        fid_sum += fidelity_amps(post, q.amps)
+        fid_sum += fidelity_amps(post, amps)
     counts = {Symmetry.SINGLET.value: n_singlet, Symmetry.TRIPLET.value: spec.trials - n_singlet}
     report = {
         "spec": dict(vars(spec)),
@@ -255,25 +271,28 @@ def _run_bell(spec: ExperimentSpec) -> dict:
     else:
         inputs = [(bell_state(label), label.value) for label in BellLabel]
     rng = np.random.default_rng(spec.seed)
+    ideal = spec.ideal
     rows = []
     for q, name in inputs:
         try:
-            true_label: str | None = ideal_label(q).value
+            label = ideal_label(q)
         except KerrBellError:
-            true_label = None
+            true_label, true_index = None, -1
         else:
-            target = bell_state(_LABELS[true_label])
-        label_counts = {label.value: 0 for label in BellLabel}
+            true_label, true_index = label.value, LABEL_ORDER.index(label)
+            target = bell_state(label).amps
+        amps = q.amps
+        counts = [0] * len(LABEL_ORDER)
         analyzer_total = 0
-        correct = 0
         fid_correct_sum = 0.0
         for _ in range(spec.trials):
-            trace = bell_detect(q, cfg, policy, rng, ideal=spec.ideal)
-            label_counts[trace.label.value] += 1
-            analyzer_total += trace.analyzer_count
-            if true_label is not None and trace.label.value == true_label:
-                correct += 1
-                fid_correct_sum += fidelity(trace.post_state, target)
+            singlets, post = bell_detect_amps(amps, cfg, policy, rng, ideal)
+            index = label_index(singlets)
+            counts[index] += 1
+            analyzer_total += len(singlets)
+            if index == true_index:
+                fid_correct_sum += fidelity_amps(post, target)
+        label_counts = {name: counts[i] for name, i in _COUNT_KEYS}
         row = {
             "input": name,
             "true_label": true_label,
@@ -284,6 +303,7 @@ def _run_bell(spec: ExperimentSpec) -> dict:
             "mean_analyzer_count": analyzer_total / spec.trials,
         }
         if true_label is not None:
+            correct = counts[true_index]
             row["accuracy"] = _rate_ci(correct, spec.trials)
             row["mean_fidelity_when_correct"] = (
                 fid_correct_sum / correct if correct else None
@@ -372,8 +392,7 @@ def _run_oracle_check(spec: ExperimentSpec) -> dict:
     max_density_dev = 0.0
     max_collapse_dev = 0.0
     details = []
-    cos2 = math.cos(2.0 * spec.theta)  # x at the bunched peak, the threshold, the balanced peak
-    xs = (2.0 * spec.alpha * cos2, spec.alpha * (1.0 + cos2), 2.0 * spec.alpha)
+    xs = (cfg.bunched_peak, cfg.threshold, cfg.balanced_peak)
     splits = [apply_beam_splitter(embed(bell_state(label))) for label in BellLabel]
     refs = full_fock_reference(splits, ocfg, ANALYZER_WEIGHTS, xs)
     for label, (grid, p_oracle, conditionals) in zip(BellLabel, refs):

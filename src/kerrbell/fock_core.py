@@ -23,7 +23,7 @@ BASIS = ("HH", "HV", "VH", "VV")
 Amps = tuple[complex, ...]  # amplitudes over BASIS (or over two modes)
 
 _NORM_TOL = 1e-9
-_PRUNE_TOL = 1e-14
+PRUNE_TOL = 1e-14  # SpatialFockState drops amplitudes of modulus <= this
 
 
 class BellLabel(Enum):
@@ -79,16 +79,27 @@ def normalized_amps(amps: Iterable[complex]) -> Amps:
     return tuple(a / norm for a in amps)
 
 
-def bell_state(label: BellLabel) -> TwoQubitState:
-    """Return the requested maximally entangled two-qubit state."""
+def _bell_states() -> dict[BellLabel, TwoQubitState]:
     r = 1.0 / math.sqrt(2.0)
     amps = {
         BellLabel.PSI_MINUS: (0, r, -r, 0),
         BellLabel.PSI_PLUS: (0, r, r, 0),
         BellLabel.PHI_MINUS: (r, 0, 0, -r),
         BellLabel.PHI_PLUS: (r, 0, 0, r),
-    }[label]
-    return TwoQubitState(tuple(complex(a) for a in amps))
+    }
+    return {label: TwoQubitState(tuple(complex(a) for a in amps[label])) for label in BellLabel}
+
+
+_BELL_STATES = _bell_states()
+
+
+def bell_state(label: BellLabel) -> TwoQubitState:
+    """Return the requested maximally entangled two-qubit state.
+
+    The four states are built once; every call for a label returns the same
+    frozen instance.
+    """
+    return _BELL_STATES[label]
 
 
 def overlap(a: TwoQubitState, b: TwoQubitState) -> complex:
@@ -107,21 +118,26 @@ def fidelity_amps(a: Amps, b: Amps) -> float:
     return min(1.0, abs(ov + a[3].conjugate() * b[3]) ** 2)
 
 
+# Single-qubit Paulis on (HH, HV, VH, VV) tuples, by (op, qubit).  Qubit 2 is
+# the low bit of the basis index.  X swaps H and V, Z flips the sign of V, and
+# Y = iXZ.
+PAULI_MAPS = {
+    ("X", 2): lambda a: (a[1], a[0], a[3], a[2]),
+    ("Y", 2): lambda a: (-1j * a[1], 1j * a[0], -1j * a[3], 1j * a[2]),
+    ("Z", 2): lambda a: (a[0], -a[1], a[2], -a[3]),
+    ("X", 1): lambda a: (a[2], a[3], a[0], a[1]),
+    ("Y", 1): lambda a: (-1j * a[2], -1j * a[3], 1j * a[0], 1j * a[1]),
+    ("Z", 1): lambda a: (a[0], a[1], -a[2], -a[3]),
+}
+
+
 def pauli_amps(amps: Amps, qubit: int, op: str) -> Amps:
     """apply_pauli on an (HH, HV, VH, VV) amplitude tuple."""
     if qubit not in (1, 2):
         raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
     if op not in ("X", "Y", "Z"):
         raise ValueError(f"op must be X, Y or Z, got {op!r}")
-    # Qubit 2 is the low bit of the basis index; swapping HV and VH moves qubit 1 there.
-    a0, a1, a2, a3 = amps if qubit == 2 else (amps[0], amps[2], amps[1], amps[3])
-    if op == "X":
-        out = (a1, a0, a3, a2)
-    elif op == "Z":
-        out = (a0, -a1, a2, -a3)
-    else:  # Y = iXZ
-        out = (-1j * a1, 1j * a0, -1j * a3, 1j * a2)
-    return out if qubit == 2 else (out[0], out[2], out[1], out[3])
+    return PAULI_MAPS[op, qubit](amps)
 
 
 def apply_pauli(q: TwoQubitState, qubit: int, op: str) -> TwoQubitState:
@@ -164,7 +180,7 @@ class SpatialFockState:
             amp = complex(amp)
             if not cmath.isfinite(amp):
                 raise ValueError(f"non-finite amplitude {amp!r} at {occ}")
-            if abs(amp) > _PRUNE_TOL:
+            if abs(amp) > PRUNE_TOL:
                 pruned[occ] = pruned.get(occ, 0j) + amp
         if not pruned or n_modes is None:
             raise ValueError("state has no amplitude above the pruning threshold")
@@ -238,7 +254,7 @@ _EXTRACT_IDX = {occ: i for i, occ in _EMBED_OCC.items()}
 
 def embed(q: TwoQubitState, max_total: int = 2) -> SpatialFockState:
     """Encode a two-qubit polarization state as one photon per spatial arm."""
-    amps = {_EMBED_OCC[i]: a for i, a in enumerate(q.amps) if abs(a) > _PRUNE_TOL}
+    amps = {_EMBED_OCC[i]: a for i, a in enumerate(q.amps) if abs(a) > PRUNE_TOL}
     return SpatialFockState(amps, max_total)
 
 

@@ -19,8 +19,27 @@ from kerrbell import (
     run_symmetry_analyzer,
     run_two_mode_demo,
     sample_outcome,
+    shot,
+    two_mode_input,
+    two_mode_shot,
 )
-from conftest import random_triplet
+from kerrbell.analyzers import DEMO_OCCUPATIONS, _kraus_weights, two_mode_amps
+from kerrbell.fock_core import normalized_amps
+from conftest import random_state, random_triplet
+
+
+class FixedDraws:
+    """Stands in for a Generator: every random() and standard_normal() returns
+    the given value."""
+
+    def __init__(self, u: float, z: float) -> None:
+        self.u, self.z = u, z
+
+    def random(self) -> float:
+        return self.u
+
+    def standard_normal(self) -> float:
+        return self.z
 
 
 class TestPhasePhi:
@@ -172,6 +191,33 @@ class TestTwoModeDemo:
         sigma = math.sqrt(p * (1.0 - p) / trials)
         assert abs(wrong / trials - p) <= 3.0 * sigma
 
+    @pytest.mark.parametrize("d", [(0.6, 0.8j), (3e-14, 1.0), (1.0, 3e-14), (0.3, 0.95)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_shot_matches_fock_reference_exactly(self, d, sign):
+        # Tiny amplitudes whose weight is the smaller one fall to SpatialFockState's
+        # pruning threshold after the shot; the tuple must hold 0 there too.
+        d1, d2 = normalized_amps(d)
+        cfg = AnalyzerConfig(theta=0.3, alpha=4.0)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        amps = two_mode_amps(d1, d2, sign)
+        for _ in range(200):
+            balanced, post = two_mode_shot(amps, cfg, rng)
+            s = two_mode_input(d1, d2, sign)
+            x = sample_outcome(abs(s.amplitude((1, 1))) ** 2, cfg, ref)
+            g_b, g_t = _kraus_weights(x, cfg)
+            want = SpatialFockState.normalized(
+                {occ: a * (g_b if occ == (1, 1) else g_t) for occ, a in s.items()}
+            )
+            assert balanced == (classify(x, cfg.theta, cfg.alpha) is Classification.BALANCED)
+            assert post == tuple(want.amplitude(occ) for occ in DEMO_OCCUPATIONS)
+
+    def test_shot_tie_goes_to_balanced(self):
+        cfg = AnalyzerConfig(theta=math.pi / 6.0, alpha=1.0)
+        z = cfg.threshold - cfg.bunched_peak
+        assert cfg.bunched_peak + z == cfg.threshold
+        balanced, _ = two_mode_shot((0j, 0.6 + 0j, 0.8 + 0j), cfg, FixedDraws(0.99, z))
+        assert balanced
+
     def test_unnormalized_input_rejected(self, rng):
         cfg = AnalyzerConfig(theta=0.3, alpha=2.0)
         with pytest.raises(ValueError):
@@ -232,6 +278,15 @@ class TestSymmetryAnalyzer:
         p_triplet = fidelity(singlet, bell_state(BellLabel.PHI_PLUS))
         mean_t = np.mean([sample_outcome(p_triplet, cfg, rng) for _ in range(n)])
         assert abs(mean_t - 2.0 * alpha * math.cos(2.0 * theta)) < tol
+
+    def test_shot_tie_goes_to_singlet(self):
+        # x lands exactly on the threshold; like classify, shot calls it Balanced.
+        cfg = AnalyzerConfig(theta=math.pi / 6.0, alpha=1.0)
+        z = cfg.threshold - cfg.bunched_peak
+        assert cfg.bunched_peak + z == cfg.threshold
+        amps = random_state(np.random.default_rng(3)).amps
+        singlet, _ = shot(amps, cfg, FixedDraws(0.999999, z))
+        assert singlet
 
     def test_ideal_mode_projects_exactly(self, rng):
         cfg = AnalyzerConfig(theta=0.1, alpha=10.0)

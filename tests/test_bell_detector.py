@@ -14,6 +14,7 @@ from kerrbell import (
     TwoQubitState,
     apply_pauli,
     bell_detect,
+    bell_detect_amps,
     bell_state,
     classify,
     error_probability,
@@ -22,6 +23,7 @@ from kerrbell import (
     kraus,
     sample_outcome,
 )
+from kerrbell.bell_detector import LABEL_ORDER, label_index
 from conftest import random_state
 
 ALL_POLICIES = [
@@ -199,3 +201,24 @@ def test_matches_reference_chain_on_non_bell_input(early_exit, omit_final):
         assert list(trace.steps) == steps
         assert trace.analyzer_count == len(steps)
         assert 1.0 - fidelity(trace.post_state, post) <= 1e-12
+        assert trace.post_state.amps == post.amps  # the same operations, in order
+
+
+@pytest.mark.parametrize("ideal", [False, True])
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_engine_matches_bell_detect(policy, ideal):
+    cfg = AnalyzerConfig(theta=0.3, alpha=5.0)
+    inputs = [bell_state(label) for label in BellLabel]
+    inputs += [random_state(np.random.default_rng(seed)) for seed in range(6)]
+    rng = np.random.default_rng(23)
+    ref = np.random.default_rng(23)
+    for q in inputs:
+        for _ in range(25):
+            singlets, post = bell_detect_amps(q.amps, cfg, policy, rng, ideal)
+            trace = bell_detect(q, cfg, policy, ref, ideal)
+            assert LABEL_ORDER[label_index(singlets)] == trace.label
+            assert len(singlets) == trace.analyzer_count
+            assert [s is Symmetry.SINGLET for _, s in trace.steps] == list(singlets)
+            assert post == trace.post_state.amps
+            assert abs(sum(abs(a) ** 2 for a in post) - 1.0) <= 1e-12
+    assert rng.bit_generator.state == ref.bit_generator.state

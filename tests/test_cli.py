@@ -1,11 +1,22 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from kerrbell import InvalidSpec
+from kerrbell import (
+    AnalyzerConfig,
+    InvalidSpec,
+    SpatialFockState,
+    classify,
+    sample_outcome,
+    two_mode_input,
+)
+from kerrbell.analyzers import _kraus_weights
 from kerrbell.cli import ExperimentSpec, main, run
+from kerrbell.fock_core import normalized_amps
 
 
 def _spec(**kw):
@@ -292,3 +303,42 @@ class TestPinnedStreams:
     def test_sweep_errors(self):
         report = run(_spec(command="sweep", theta=0.3, trials=200, seed=4, targets="0.3,0.6"))
         assert [row["empirical"] for row in report["sweep"]] == [0.295, 0.12]
+
+
+def demo_reference(text, sign, theta, alpha, trials, seed):
+    """The demo2mode loop on SpatialFockState: counts and mean fidelities."""
+    d1, d2 = normalized_amps(complex(p) for p in text.split(","))
+    cfg = AnalyzerConfig(theta=theta, alpha=alpha)
+    r = 1.0 / math.sqrt(2.0)
+    targets = {
+        "Balanced": SpatialFockState({(1, 1): 1.0 + 0j}),
+        "Bunched": SpatialFockState({(2, 0): r, (0, 2): sign * r}),
+    }
+    counts = dict.fromkeys(targets, 0)
+    sums = dict.fromkeys(targets, 0.0)
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        s = two_mode_input(d1, d2, sign)
+        x = sample_outcome(abs(s.amplitude((1, 1))) ** 2, cfg, rng)
+        g_b, g_t = _kraus_weights(x, cfg)
+        post = SpatialFockState.normalized(
+            {occ: a * (g_b if occ == (1, 1) else g_t) for occ, a in s.items()}
+        )
+        name = classify(x, theta, alpha).value
+        counts[name] += 1
+        sums[name] += post.fidelity(targets[name])
+    return counts, {c: (sums[c] / n if n else None) for c, n in counts.items()}
+
+
+@pytest.mark.parametrize(
+    "text", ["0.6,0.8j", "1e-14,1", "1.005e-14,1", "1,1.2e-14", "1,1.5e-14", "0.3,-0.2+0.9j"]
+)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_demo_matches_fock_reference_exactly(text, sign):
+    # theta=0.3, alpha=4: misclassification is common, so both targets see
+    # posts from both peaks.
+    spec = dict(theta=0.3, alpha=4.0, trials=300, seed=8)
+    report = run(_spec(command="demo2mode", input=text, sign=sign, **spec))
+    counts, fidelities = demo_reference(text, sign, **spec)
+    assert report["counts"] == counts
+    assert report["mean_conditional_fidelity"] == fidelities

@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from kerrbell import (
@@ -17,6 +19,7 @@ from kerrbell import (
     extract,
     fidelity,
 )
+from kerrbell.fock_core import pauli_amps
 from conftest import random_state
 
 R = 1.0 / math.sqrt(2.0)
@@ -37,6 +40,12 @@ class TestBellStates:
     @pytest.mark.parametrize("label", list(BellLabel))
     def test_normalized(self, label):
         assert abs(bell_state(label).norm_sq() - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("label", list(BellLabel))
+    def test_built_once_and_frozen(self, label):
+        assert bell_state(label) is bell_state(label)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bell_state(label).amps = (1j, 0j, 0j, 0j)
 
 
 class TestFidelity:
@@ -175,6 +184,20 @@ class TestPauli:
             assert all(
                 a == pytest.approx(-b, abs=1e-15) for a, b in zip(xz.amps, zx.amps)
             )
+
+    @pytest.mark.parametrize("op", ["X", "Y", "Z"])
+    @pytest.mark.parametrize("qubit", [1, 2])
+    def test_matches_kronecker_matrix(self, rng, op, qubit):
+        sigma = {
+            "X": np.array([[0, 1], [1, 0]]),
+            "Y": np.array([[0, -1j], [1j, 0]]),
+            "Z": np.array([[1, 0], [0, -1]]),
+        }[op]
+        # Qubit 1 is the high bit of the HH, HV, VH, VV index.
+        matrix = np.kron(sigma, np.eye(2)) if qubit == 1 else np.kron(np.eye(2), sigma)
+        q = random_state(rng)
+        want = matrix @ np.array(q.amps)
+        assert pauli_amps(q.amps, qubit, op) == tuple(complex(a) for a in want)
 
     def test_invalid_arguments(self):
         q = bell_state(BellLabel.PSI_PLUS)

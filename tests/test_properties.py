@@ -32,6 +32,7 @@ from kerrbell import (
     shot,
     symmetry_pointer,
 )
+from kerrbell.analyzers import _kraus_weights, _project
 from kerrbell.cli import main
 from conftest import random_state, random_triplet
 
@@ -88,6 +89,42 @@ def test_shot_matches_kraus_with_the_same_draws(cfg, seed, ideal):
     assert singlet == expected
     assert 1.0 - fidelity(TwoQubitState(post), want) <= 1e-12
     assert rng.random() == ref.random()  # the shot drew exactly what the reference drew
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    theta=st.floats(min_value=0.0, max_value=math.pi / 4.0, exclude_min=True),
+    alpha=st.floats(min_value=0.0, max_value=1e6),
+    seed=seeds,
+    ideal=st.booleans(),
+)
+def test_shot_is_the_composition_bit_for_bit(theta, alpha, seed, ideal):
+    # The operating-point constants are the peaks and threshold computed here.
+    cfg = AnalyzerConfig(theta=theta, alpha=alpha)
+    cos2 = math.cos(2.0 * theta)
+    balanced, bunched, threshold = 2.0 * alpha, 2.0 * alpha * cos2, alpha * (1.0 + cos2)
+    assert (cfg.balanced_peak, cfg.bunched_peak, cfg.threshold) == (balanced, bunched, threshold)
+    amps = random_state(np.random.default_rng(seed)).amps
+    rng = np.random.default_rng(seed + 1)
+    ref, raw = copy.deepcopy(rng), copy.deepcopy(rng)
+    singlet, post = shot(amps, cfg, rng, ideal)
+    c = (1.0 / math.sqrt(2.0)) * amps[1] - (1.0 / math.sqrt(2.0)) * amps[2]
+    p_s = abs(c) ** 2
+    if ideal:
+        want = ref.random() < p_s
+        weights = (float(want), float(not want))
+    else:
+        x = sample_outcome(p_s, cfg, ref)
+        assert x == (balanced if raw.random() < p_s else bunched) + raw.standard_normal()
+        want = classify(x, theta, alpha) is Classification.BALANCED
+        assert want == (x >= threshold)
+        weights = _kraus_weights(x, cfg)
+        u_b, u_t = x - balanced, x - bunched
+        assert weights == (math.exp(-u_b * u_b / 4.0), math.exp(-u_t * u_t / 4.0))
+    assert singlet == want
+    assert post == _project(amps, c, *weights)
+    assert abs(sum(abs(a) ** 2 for a in post) - 1.0) <= 1e-12
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_pipeline_density_vanishes_between_separated_peaks():

@@ -1,0 +1,44 @@
+"""The digest tool's spec set: every command, pinned point and seed, sampled
+and --ideal, and every spec valid."""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+from kerrbell.cli import COMMANDS, ExperimentSpec
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
+_spec = importlib.util.spec_from_file_location("report_digests", _PATH)
+report_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_digests)
+
+
+def test_spec_set_covers_commands_points_and_seeds():
+    specs = report_digests.specs()
+    thetas = {0.1, 0.3, math.pi / 4.0}
+    for command in COMMANDS:
+        ours = [s for s in specs if s["command"] == command]
+        assert {s["theta"] for s in ours} == thetas
+        assert {s["seed"] for s in ours} == {1, 2, 3}
+    for command in ("symmetry", "bell"):
+        assert {s["ideal"] for s in specs if s["command"] == command} == {False, True}
+    bell = [s for s in specs if s["command"] == "bell"]
+    assert {(s["early_exit"], s["omit_final"]) for s in bell} == {
+        (e, o) for e in (False, True) for o in (False, True)
+    }
+    for kwargs in specs:
+        ExperimentSpec(**kwargs).validate()
+
+
+def test_digests_repeat(capsys, monkeypatch):
+    few = report_digests.specs()[::40]
+    monkeypatch.setattr(report_digests, "specs", lambda: few)
+    monkeypatch.setattr(sys, "path", sys.path[:])  # main() puts --src first
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for _ in range(2):
+        assert report_digests.main(["--src", src]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == len(few)

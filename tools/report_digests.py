@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Print one sha256 per seeded report of a fixed spec set, to diff two checkouts.
+
+    python3 tools/report_digests.py --src path/to/checkout/src > digests.txt
+
+The spec set covers all five commands at the three pinned operating points,
+seeds 1-3, sampled and --ideal where the command has it: demo2mode over
+four inputs and both signs, symmetry over the four Bell states and two mixed
+inputs, bell over all four Bell inputs and one mixed input under all four
+policies, sweep, and oracle-check at alpha 2 and 4 (its alpha cap) at each
+pinned theta.  Each line is "<sha256 of the sorted-key JSON report>  <spec>".
+Two checkouts give byte-identical reports exactly when
+``diff <(... --src A/src) <(... --src B/src)`` prints nothing.  The report
+count goes to stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import sys
+from pathlib import Path
+
+POINTS = (
+    {"theta": 0.1, "alpha": math.sqrt(1.3e4)},  # the paper's point
+    {"theta": 0.3, "alpha": 1.5 / 0.3**2},  # the threshold point
+    {"theta": math.pi / 4.0, "alpha": 1e3},  # the grid-stress point
+)
+SEEDS = (1, 2, 3)
+TRIALS = 200
+BELL_LABELS = ("PsiMinus", "PsiPlus", "PhiMinus", "PhiPlus")
+MIXED = ("0.5,0.5j,-0.5,0.5", "0.3,0.5,0.2,0.7")
+DEMO_INPUTS = (None, "0.6,0.8j", "1,0", "0,1")
+
+
+def specs() -> list[dict]:
+    """Keyword arguments of ExperimentSpec for every report in the set."""
+    out = []
+    for point in POINTS:
+        for seed in SEEDS:
+            base = dict(point, seed=seed, trials=TRIALS)
+            for text in DEMO_INPUTS:
+                for sign in (1, -1):
+                    out.append(dict(base, command="demo2mode", input=text, sign=sign))
+            for text in BELL_LABELS + MIXED:
+                for ideal in (False, True):
+                    out.append(dict(base, command="symmetry", input=text, ideal=ideal))
+            for text in (None, MIXED[0]):
+                for early_exit in (True, False):
+                    for omit_final in (False, True):
+                        for ideal in (False, True):
+                            out.append(
+                                dict(base, command="bell", input=text, early_exit=early_exit,
+                                     omit_final=omit_final, ideal=ideal)
+                            )
+            out.append(dict(base, command="sweep"))
+            for alpha in (2.0, 4.0):
+                out.append(dict(base, command="oracle-check", alpha=alpha, trials=1))
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, type=Path, help="a checkout's src directory")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "kerrbell" / "__init__.py").is_file():
+        parser.error(f"{src / 'kerrbell'} not found")
+    sys.path.insert(0, str(src))
+    import kerrbell
+    from kerrbell.cli import ExperimentSpec, run
+
+    if src not in Path(kerrbell.__file__).resolve().parents:
+        parser.error(f"imported kerrbell from {kerrbell.__file__}, not {src}")
+    all_specs = specs()
+    for kwargs in all_specs:
+        report = json.dumps(run(ExperimentSpec(**kwargs)), sort_keys=True)
+        digest = hashlib.sha256(report.encode()).hexdigest()
+        print(f"{digest}  {json.dumps(kwargs, sort_keys=True)}")
+    print(f"{len(all_specs)} reports", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
