@@ -57,7 +57,6 @@ from .bell_detector import (
     DetectionPolicy,
     DetectionTrace,
     bell_detect,
-    bell_detect_amps,
     ideal_label,
 )
 from .oracle import (

@@ -204,6 +204,12 @@ def two_mode_shot(
     return x >= cfg.threshold, post
 
 
+def two_mode_fidelity(a: Amps, b: Amps) -> float:
+    """SpatialFockState.fidelity on two amplitude tuples over DEMO_OCCUPATIONS."""
+    ov = a[0].conjugate() * b[0] + a[1].conjugate() * b[1] + a[2].conjugate() * b[2]
+    return min(1.0, abs(ov) ** 2)
+
+
 def run_two_mode_demo(
     d1: complex,
     d2: complex,

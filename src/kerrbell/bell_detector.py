@@ -13,18 +13,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotABellState
-from .fock_core import PAULI_MAPS, Amps, BellLabel, TwoQubitState, bell_state, fidelity
+from .fock_core import PAULI_MAPS, BellLabel, TwoQubitState, apply_pauli, bell_state, fidelity
 from .analyzers import AnalyzerConfig, Symmetry, shot
 
 # Pauli applied (to qubit 2) before analyzer k = 2, 3, 4.
 _PRE_PAULIS: tuple[tuple[str, int] | None, ...] = (None, ("X", 2), ("Z", 2), ("X", 2))
 _PRE_MAPS = tuple(PAULI_MAPS[p] if p else None for p in _PRE_PAULIS)
-# Early exit after analyzer k undoes the Paulis applied so far, last first
-# (each is its own inverse).
-_UNDO_MAPS = tuple(tuple(reversed(_PRE_MAPS[1 : k + 1])) for k in range(4))
-_CLOSE_Z2, _CLOSE_Y2 = PAULI_MAPS["Z", 2], PAULI_MAPS["Y", 2]
+# The step analyzer k records for a Triplet (index 0) or a Singlet (index 1).
+_STEPS = tuple(((p, Symmetry.TRIPLET), (p, Symmetry.SINGLET)) for p in _PRE_PAULIS)
+# Paulis that restore the identified state, in order.  An early exit after
+# analyzer k undoes the Paulis applied so far, last first (each is its own
+# inverse); a full run ends with the closing Z2, or Y2 with omit_final.
+_UNDO = tuple(tuple(reversed(_PRE_PAULIS[1 : k + 1])) for k in range(4))
+_CLOSE_Z2, _CLOSE_Y2 = (("Z", 2),), (("Y", 2),)
 # The label a first Singlet at analyzer 1, 2, 3, 4 names; no Singlet names PsiPlus.
-LABEL_ORDER = (BellLabel.PSI_MINUS, BellLabel.PHI_MINUS, BellLabel.PHI_PLUS, BellLabel.PSI_PLUS)
+_LABEL_BY_POSITION = (
+    BellLabel.PSI_MINUS,
+    BellLabel.PHI_MINUS,
+    BellLabel.PHI_PLUS,
+    BellLabel.PSI_PLUS,
+)
 
 
 @dataclass(frozen=True)
@@ -45,37 +53,6 @@ class DetectionTrace:
     analyzer_count: int
 
 
-def label_index(singlets: tuple[bool, ...]) -> int:
-    """Index into LABEL_ORDER of the label a run's Singlet outcomes name."""
-    return singlets.index(True) if True in singlets else 3
-
-
-def bell_detect_amps(
-    amps: Amps,
-    cfg: AnalyzerConfig,
-    policy: DetectionPolicy,
-    rng: np.random.Generator,
-    ideal: bool = False,
-) -> tuple[tuple[bool, ...], Amps]:
-    """bell_detect on a normalized (HH, HV, VH, VV) tuple: (singlets, post).
-
-    singlets holds one Singlet outcome per analyzer run, in order; post is
-    the output state's amplitudes.  The draws are those of one shot per
-    analyzer run.
-    """
-    singlets = []
-    for k in range(3 if policy.omit_final else 4):
-        if k:
-            amps = _PRE_MAPS[k](amps)
-        singlet, amps = shot(amps, cfg, rng, ideal)
-        singlets.append(singlet)
-        if singlet and policy.early_exit:
-            for undo in _UNDO_MAPS[k]:
-                amps = undo(amps)
-            return tuple(singlets), amps
-    return tuple(singlets), (_CLOSE_Y2 if policy.omit_final else _CLOSE_Z2)(amps)
-
-
 def bell_detect(
     q: TwoQubitState,
     cfg: AnalyzerConfig,
@@ -91,15 +68,31 @@ def bell_detect(
     analyzers run and the closing operation is Y2 instead.  With early_exit
     the run stops at the first Singlet and the identified Bell state is
     rebuilt by undoing the Paulis applied so far (each its own inverse).
-    The work is done by bell_detect_amps.
+
+    The analyzers and the Paulis between them run on the amplitude tuple,
+    one shot per analyzer; the restoring Paulis act on the validated post
+    state through apply_pauli.
     """
-    singlets, post = bell_detect_amps(q.amps, cfg, policy, rng, ideal)
-    steps = tuple(
-        (pauli, Symmetry.SINGLET if singlet else Symmetry.TRIPLET)
-        for pauli, singlet in zip(_PRE_PAULIS, singlets)
-    )
-    label = LABEL_ORDER[label_index(singlets)]
-    return DetectionTrace(steps, label, TwoQubitState(post), len(steps))
+    amps = q.amps
+    steps = []
+    first = None
+    for k in range(3 if policy.omit_final else 4):
+        if k:
+            amps = _PRE_MAPS[k](amps)
+        singlet, amps = shot(amps, cfg, rng, ideal)
+        steps.append(_STEPS[k][singlet])
+        if singlet and first is None:
+            first = k
+            if policy.early_exit:
+                restore = _UNDO[k]
+                break
+    else:
+        restore = _CLOSE_Y2 if policy.omit_final else _CLOSE_Z2
+    state = TwoQubitState(amps)
+    for op, qubit in restore:
+        state = apply_pauli(state, qubit, op)
+    label = _LABEL_BY_POSITION[3 if first is None else first]
+    return DetectionTrace(tuple(steps), label, state, len(steps))
 
 
 def ideal_label(q: TwoQubitState) -> BellLabel:
@@ -107,7 +100,7 @@ def ideal_label(q: TwoQubitState) -> BellLabel:
 
     The bell runner uses it to find each input's true label.
     """
-    for label in LABEL_ORDER:
+    for label in BellLabel:
         if fidelity(q, bell_state(label)) >= 1.0 - 1e-9:
             return label
     raise NotABellState("state is not within 1e-9 of any single Bell state")

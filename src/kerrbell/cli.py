@@ -39,17 +39,17 @@ from .analyzers import (
     shot,
     symmetry_pointer,
     two_mode_amps,
+    two_mode_fidelity,
     two_mode_pointer,
     two_mode_shot,
 )
-from .bell_detector import LABEL_ORDER, DetectionPolicy, bell_detect_amps, ideal_label, label_index
+from .bell_detector import DetectionPolicy, bell_detect, ideal_label
 from .oracle import OracleConfig, full_fock_reference
 
 DEFAULT_ALPHA = math.sqrt(1.3e4)
 COMMANDS = ("demo2mode", "symmetry", "bell", "sweep", "oracle-check")
 _LABELS = {label.value: label for label in BellLabel}
-# (label name, index into LABEL_ORDER) in report order.
-_COUNT_KEYS = tuple((label.value, LABEL_ORDER.index(label)) for label in BellLabel)
+_BELL_NAMES = tuple((label, label.value) for label in BellLabel)  # in report order
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -178,31 +178,23 @@ def _density_csv(pointer, spec: ExperimentSpec) -> str | None:
     return str(path)
 
 
-def _demo_fidelity(a, b) -> float:
-    """SpatialFockState.fidelity on two demonstrator amplitude tuples."""
-    ov = a[0].conjugate() * b[0] + a[1].conjugate() * b[1] + a[2].conjugate() * b[2]
-    return min(1.0, abs(ov) ** 2)
-
-
 def _run_demo2mode(spec: ExperimentSpec) -> dict:
     d1, d2 = _parse_demo_input(spec.input)
     cfg = _analyzer_config(spec)
     csv_path = _density_csv(lambda: two_mode_pointer(d1, d2, spec.sign, cfg), spec)
     rng = np.random.default_rng(spec.seed)
     amps = two_mode_amps(d1, d2, spec.sign)
-    r = 1.0 / math.sqrt(2.0)
-    # Over DEMO_OCCUPATIONS (|0,2>, |1,1>, |2,0>).
-    balanced_target = (0j, 1.0 + 0j, 0j)
-    bunched_target = (complex(spec.sign * r), 0j, complex(r))
+    balanced_target = two_mode_amps(1, 0, spec.sign)  # |1,1>
+    bunched_target = two_mode_amps(0, 1, spec.sign)  # (|2,0> + sign*|0,2>)/sqrt2
     n_balanced = 0
     fid_balanced = fid_bunched = 0.0
     for _ in range(spec.trials):
         balanced, post = two_mode_shot(amps, cfg, rng)
         if balanced:
             n_balanced += 1
-            fid_balanced += _demo_fidelity(post, balanced_target)
+            fid_balanced += two_mode_fidelity(post, balanced_target)
         else:
-            fid_bunched += _demo_fidelity(post, bunched_target)
+            fid_bunched += two_mode_fidelity(post, bunched_target)
     counts = {
         Classification.BALANCED.value: n_balanced,
         Classification.BUNCHED.value: spec.trials - n_balanced,
@@ -269,33 +261,30 @@ def _run_bell(spec: ExperimentSpec) -> dict:
     if spec.input is not None:
         inputs = [_parse_qubit_input(spec.input)]
     else:
-        inputs = [(bell_state(label), label.value) for label in BellLabel]
+        inputs = [(bell_state(label), name) for label, name in _BELL_NAMES]
     rng = np.random.default_rng(spec.seed)
     ideal = spec.ideal
     rows = []
     for q, name in inputs:
         try:
-            label = ideal_label(q)
+            true_label = ideal_label(q)
         except KerrBellError:
-            true_label, true_index = None, -1
+            true_label = None
         else:
-            true_label, true_index = label.value, LABEL_ORDER.index(label)
-            target = bell_state(label).amps
-        amps = q.amps
-        counts = [0] * len(LABEL_ORDER)
+            target = bell_state(true_label).amps
+        labels = []
         analyzer_total = 0
         fid_correct_sum = 0.0
         for _ in range(spec.trials):
-            singlets, post = bell_detect_amps(amps, cfg, policy, rng, ideal)
-            index = label_index(singlets)
-            counts[index] += 1
-            analyzer_total += len(singlets)
-            if index == true_index:
-                fid_correct_sum += fidelity_amps(post, target)
-        label_counts = {name: counts[i] for name, i in _COUNT_KEYS}
+            trace = bell_detect(q, cfg, policy, rng, ideal)
+            labels.append(trace.label)
+            analyzer_total += trace.analyzer_count
+            if trace.label is true_label:
+                fid_correct_sum += fidelity_amps(trace.post_state.amps, target)
+        label_counts = {name: labels.count(label) for label, name in _BELL_NAMES}
         row = {
             "input": name,
-            "true_label": true_label,
+            "true_label": None if true_label is None else true_label.value,
             "label_counts": label_counts,
             "label_rates": {
                 label: n / spec.trials for label, n in label_counts.items()
@@ -303,7 +292,7 @@ def _run_bell(spec: ExperimentSpec) -> dict:
             "mean_analyzer_count": analyzer_total / spec.trials,
         }
         if true_label is not None:
-            correct = counts[true_index]
+            correct = labels.count(true_label)
             row["accuracy"] = _rate_ci(correct, spec.trials)
             row["mean_fidelity_when_correct"] = (
                 fid_correct_sum / correct if correct else None

@@ -44,10 +44,11 @@ class TwoQubitState:
     amps: tuple[complex, complex, complex, complex]
 
     def __post_init__(self) -> None:
-        amps = tuple(complex(a) for a in self.amps)
+        amps = tuple(map(complex, self.amps))
         if len(amps) != 4:
             raise ValueError("a two-qubit state needs exactly 4 amplitudes")
-        nsq = sum(abs(a) ** 2 for a in amps)
+        a0, a1, a2, a3 = amps
+        nsq = abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2
         if not abs(nsq - 1.0) <= _NORM_TOL:  # also rejects a NaN norm
             raise ValueError(
                 f"amplitudes are not normalized (|.|^2 = {nsq!r}); "
