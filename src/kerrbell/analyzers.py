@@ -89,9 +89,10 @@ class AnalyzerConfig:
 
     def __post_init__(self) -> None:
         check_domain(self.theta, self.alpha)
-        peaks = _peaks(self.theta, self.alpha)
-        for name, value in zip(("balanced_peak", "bunched_peak", "threshold"), peaks):
-            object.__setattr__(self, name, value)
+        attrs = self.__dict__  # frozen: plain attributes go straight into __dict__
+        attrs["balanced_peak"], attrs["bunched_peak"], attrs["threshold"] = _peaks(
+            self.theta, self.alpha
+        )
 
 
 @dataclass(frozen=True)

@@ -8,23 +8,23 @@ or sweep data applies, a CSV sits next to the JSON file.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidSpec, KerrBellError
 from .fock_core import (
+    Amps,
     BellLabel,
     TwoQubitState,
     apply_beam_splitter,
     bell_state,
     embed,
-    fidelity,
     fidelity_amps,
     normalized_amps,
 )
@@ -48,9 +48,15 @@ from .oracle import OracleConfig, full_fock_reference
 
 DEFAULT_ALPHA = math.sqrt(1.3e4)
 COMMANDS = ("demo2mode", "symmetry", "bell", "sweep", "oracle-check")
-_LABELS = {label.value: label for label in BellLabel}
+_BELL_INPUTS = {label.value: bell_state(label) for label in BellLabel}
 _BELL_NAMES = tuple((label, label.value) for label in BellLabel)  # in report order
+_DEFAULT_INPUT = BellLabel.PSI_MINUS.value  # of the symmetry runner
+_PSI_MINUS = _BELL_INPUTS[_DEFAULT_INPUT]
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+# Report keys: the outcome names of the symmetry analyzer and the demonstrator.
+SINGLET, TRIPLET = Symmetry.SINGLET.value, Symmetry.TRIPLET.value
+BALANCED, BUNCHED = Classification.BALANCED.value, Classification.BUNCHED.value
 
 
 @dataclass
@@ -71,23 +77,37 @@ class ExperimentSpec:
     grid_step: float = 0.01
     targets: str = "1.0,1.2,1.5"
 
-    def validate(self) -> None:
+    def validate(self) -> AnalyzerConfig:
+        """Raise InvalidSpec unless every field is valid; return the spec's
+        operating point, whose construction checks the theta and alpha domain."""
         if self.command not in COMMANDS:
             raise InvalidSpec(f"unknown command {self.command!r}")
-        if self.trials < 1:
+        if _integer("trials", self.trials) < 1:
             raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
+        if _integer("seed", self.seed) < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
-        check_domain(self.theta, self.alpha, self.grid_step)
+        cfg = AnalyzerConfig(_real("theta", self.theta), _real("alpha", self.alpha))
+        check_domain(grid_step=_real("grid_step", self.grid_step))
         if self.sign not in (1, -1):
             raise InvalidSpec(f"sign must be +1 or -1, got {self.sign!r}")
         if self.command == "oracle-check" and self.alpha > 4.0:
             raise InvalidSpec("oracle-check requires alpha <= 4")
+        return cfg
 
 
-def _analyzer_config(spec: ExperimentSpec, alpha: float | None = None) -> AnalyzerConfig:
-    """The spec's operating point, or the spec's theta with another alpha."""
-    return AnalyzerConfig(theta=spec.theta, alpha=spec.alpha if alpha is None else alpha)
+# The exact-type tests come first: isinstance on a numbers ABC costs ~0.5 us.
+def _integer(name: str, value):
+    """value, or InvalidSpec if it is not an integer."""
+    if type(value) is int or isinstance(value, Integral):
+        return value
+    raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value):
+    """value, or InvalidSpec if it is not a real number."""
+    if type(value) is float or isinstance(value, Real):
+        return value
+    raise InvalidSpec(f"{name} must be a real number, got {value!r}")
 
 
 def _analytic_errors(theta: float, alpha: float) -> dict:
@@ -97,53 +117,66 @@ def _analytic_errors(theta: float, alpha: float) -> dict:
     }
 
 
-def _parse_complex_list(text: str, expected: int, what: str) -> list[complex]:
-    parts = [p.strip() for p in text.split(",")]
+def _parse_amps(text: str, expected: int, what: str, normalize=normalized_amps):
+    """normalize(parts) of `expected` comma-separated complex values.
+
+    normalize runs normalized_amps, whose one pass converts each part with
+    complex() (which skips surrounding whitespace and takes the parenthesized
+    form repr(complex) writes) and rejects a malformed part, a zero vector or
+    a non-finite value with ValueError.
+    """
+    parts = text.split(",")
     if len(parts) != expected:
         raise InvalidSpec(f"{what} needs {expected} comma-separated values, got {text!r}")
     try:
-        values = [complex(p) for p in parts]
+        return normalize(parts)
     except ValueError as exc:
-        raise InvalidSpec(f"cannot parse {what} from {text!r}: {exc}") from exc
-    if not all(cmath.isfinite(v) for v in values):
-        raise InvalidSpec(f"{what} amplitudes must be finite, got {text!r}")
-    return values
+        raise InvalidSpec(f"cannot read {what} {text!r}: {exc}") from exc
 
 
-def _parse_qubit_input(text: str | None) -> tuple[TwoQubitState, str]:
-    """A Bell label, or four comma-separated complex amplitudes (HH,HV,VH,VV)."""
-    if text is None:
-        text = BellLabel.PSI_MINUS.value
-    if text in _LABELS:
-        return bell_state(_LABELS[text]), text
-    amps = _parse_complex_list(text, 4, "input state")
-    try:
-        state = TwoQubitState.normalized(amps)
-    except ValueError as exc:
-        raise InvalidSpec(f"cannot normalize input state {text!r}: {exc}") from exc
-    return state, text
+def _parse_qubit_input(text: str) -> TwoQubitState:
+    """A Bell label's prebuilt state, or four comma-separated complex amplitudes
+    (HH,HV,VH,VV) normalized into a TwoQubitState, which checks their norm."""
+    state = _BELL_INPUTS.get(text)
+    if state is None:
+        state = _parse_amps(text, 4, "input state", TwoQubitState.normalized)
+    return state
 
 
-def _parse_demo_input(text: str | None) -> tuple[complex, complex]:
+def _parse_demo_input(text: str | None) -> Amps:
     if text is None:
         r = 1.0 / math.sqrt(2.0)
         return complex(r), complex(r)
-    amps = _parse_complex_list(text, 2, "demo input")
-    try:
-        d1, d2 = normalized_amps(amps)
-    except ValueError as exc:
-        raise InvalidSpec(f"cannot normalize demo input {text!r}: {exc}") from exc
-    return d1, d2
+    return _parse_amps(text, 2, "demo input")
 
 
 def _rate_ci(successes: int, trials: int) -> dict:
     p = successes / trials
-    half = _Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+    half = _Z95 * math.sqrt(p * (1.0 - p) / trials)  # p*(1-p) >= 0 for p in [0, 1]
+    low, high = p - half, p + half
     return {
         "rate": p,
-        "ci_low": max(0.0, p - half),
-        "ci_high": min(1.0, p + half),
+        "ci_low": low if low > 0.0 else 0.0,
+        "ci_high": high if high < 1.0 else 1.0,
     }
+
+
+def _summarize(
+    report: dict, spec: ExperimentSpec, names: tuple[str, str], first: int, true_name=None
+) -> None:
+    """Add counts, rates and analytic_error_probability to the report of a
+    campaign whose trials each gave one of two outcomes, `first` of them
+    names[0].  When true_name names the outcome every trial should give,
+    empirical_error is the rate of the other one."""
+    trials = spec.trials
+    second = trials - first
+    report["counts"] = {names[0]: first, names[1]: second}
+    rates = {names[0]: _rate_ci(first, trials), names[1]: _rate_ci(second, trials)}
+    report["rates"] = rates
+    report["analytic_error_probability"] = _analytic_errors(spec.theta, spec.alpha)
+    if true_name is not None:
+        wrong = names[1] if true_name == names[0] else names[0]
+        report["empirical_error"] = dict(rates[wrong])
 
 
 def _write_json(report: dict, out: str | None) -> None:
@@ -178,9 +211,8 @@ def _density_csv(pointer, spec: ExperimentSpec) -> str | None:
     return str(path)
 
 
-def _run_demo2mode(spec: ExperimentSpec) -> dict:
+def _run_demo2mode(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
     d1, d2 = _parse_demo_input(spec.input)
-    cfg = _analyzer_config(spec)
     csv_path = _density_csv(lambda: two_mode_pointer(d1, d2, spec.sign, cfg), spec)
     rng = np.random.default_rng(spec.seed)
     amps = two_mode_amps(d1, d2, spec.sign)
@@ -195,42 +227,34 @@ def _run_demo2mode(spec: ExperimentSpec) -> dict:
             fid_balanced += two_mode_fidelity(post, balanced_target)
         else:
             fid_bunched += two_mode_fidelity(post, bunched_target)
-    counts = {
-        Classification.BALANCED.value: n_balanced,
-        Classification.BUNCHED.value: spec.trials - n_balanced,
-    }
-    fid_sums = dict(zip(counts, (fid_balanced, fid_bunched)))
+    n_bunched = spec.trials - n_balanced
     report = {
         "spec": dict(vars(spec)),
-        "counts": counts,
-        "rates": {
-            c: _rate_ci(n, spec.trials) for c, n in counts.items()
-        },
-        "analytic_error_probability": _analytic_errors(spec.theta, spec.alpha),
         "mean_conditional_fidelity": {
-            c: (fid_sums[c] / n if n else None) for c, n in counts.items()
+            BALANCED: fid_balanced / n_balanced if n_balanced else None,
+            BUNCHED: fid_bunched / n_bunched if n_bunched else None,
         },
     }
+    _summarize(report, spec, (BALANCED, BUNCHED), n_balanced)
     if csv_path:
         report["density_csv"] = csv_path
     return report
 
 
-def _true_symmetry(q: TwoQubitState) -> str | None:
-    p_singlet = fidelity(q, bell_state(BellLabel.PSI_MINUS))
+def _true_symmetry(amps: Amps) -> str | None:
+    p_singlet = fidelity_amps(amps, _PSI_MINUS.amps)
     if p_singlet >= 1.0 - 1e-9:
-        return Symmetry.SINGLET.value
+        return SINGLET
     if p_singlet <= 1e-9:
-        return Symmetry.TRIPLET.value
+        return TRIPLET
     return None
 
 
-def _run_symmetry(spec: ExperimentSpec) -> dict:
-    q, input_text = _parse_qubit_input(spec.input)
-    cfg = _analyzer_config(spec)
+def _run_symmetry(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
+    input_text = _DEFAULT_INPUT if spec.input is None else spec.input
+    q = _parse_qubit_input(input_text)
     csv_path = _density_csv(lambda: symmetry_pointer(q, cfg), spec)
     rng = np.random.default_rng(spec.seed)
-    true_symmetry = _true_symmetry(q)
     amps, ideal = q.amps, spec.ideal
     n_singlet = 0
     fid_sum = 0.0
@@ -238,28 +262,23 @@ def _run_symmetry(spec: ExperimentSpec) -> dict:
         singlet, post = shot(amps, cfg, rng, ideal)
         n_singlet += singlet
         fid_sum += fidelity_amps(post, amps)
-    counts = {Symmetry.SINGLET.value: n_singlet, Symmetry.TRIPLET.value: spec.trials - n_singlet}
+    true_symmetry = _true_symmetry(amps)
     report = {
         "spec": dict(vars(spec)),
         "input": input_text,
         "true_symmetry": true_symmetry,
-        "counts": counts,
-        "rates": {s: _rate_ci(n, spec.trials) for s, n in counts.items()},
-        "analytic_error_probability": _analytic_errors(spec.theta, spec.alpha),
         "mean_post_fidelity_vs_input": fid_sum / spec.trials,
     }
-    if true_symmetry is not None:
-        report["empirical_error"] = _rate_ci(spec.trials - counts[true_symmetry], spec.trials)
+    _summarize(report, spec, (SINGLET, TRIPLET), n_singlet, true_symmetry)
     if csv_path:
         report["density_csv"] = csv_path
     return report
 
 
-def _run_bell(spec: ExperimentSpec) -> dict:
-    cfg = _analyzer_config(spec)
+def _run_bell(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
     policy = DetectionPolicy(early_exit=spec.early_exit, omit_final=spec.omit_final)
     if spec.input is not None:
-        inputs = [_parse_qubit_input(spec.input)]
+        inputs = [(_parse_qubit_input(spec.input), spec.input)]
     else:
         inputs = [(bell_state(label), name) for label, name in _BELL_NAMES]
     rng = np.random.default_rng(spec.seed)
@@ -316,30 +335,30 @@ def _parse_targets(text: str) -> list[float]:
     return targets
 
 
-def _run_sweep(spec: ExperimentSpec) -> dict:
+def _run_sweep(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
     targets = _parse_targets(spec.targets)
     theta_sq = spec.theta * spec.theta
     if theta_sq == 0.0:
         raise InvalidSpec(f"theta {spec.theta!r} squares to 0, so no target sets alpha")
-    cfgs = [_analyzer_config(spec, t / theta_sq) for t in targets]
+    points = [AnalyzerConfig(spec.theta, t / theta_sq) for t in targets]
     rng = np.random.default_rng(spec.seed)
     singlet = bell_state(BellLabel.PSI_MINUS).amps
     triplet = bell_state(BellLabel.PHI_PLUS).amps
     table = []
-    for target, cfg in zip(targets, cfgs):
+    for target, point in zip(targets, points):
         n_singlet = spec.trials // 2
         n_triplet = spec.trials - n_singlet
         errors = 0
         for _ in range(n_singlet):
-            errors += not shot(singlet, cfg, rng)[0]
+            errors += not shot(singlet, point, rng)[0]
         for _ in range(n_triplet):
-            errors += shot(triplet, cfg, rng)[0]
+            errors += shot(triplet, point, rng)[0]
         ci = _rate_ci(errors, spec.trials)
-        analytic = _analytic_errors(spec.theta, cfg.alpha)
+        analytic = _analytic_errors(spec.theta, point.alpha)
         table.append(
             {
                 "alpha_theta_sq": target,
-                "alpha": cfg.alpha,
+                "alpha": point.alpha,
                 "analytic_exact": analytic["exact"],
                 "analytic_small_angle": analytic["small_angle"],
                 "empirical": ci["rate"],
@@ -370,14 +389,13 @@ def _run_sweep(spec: ExperimentSpec) -> dict:
     return report
 
 
-def _run_oracle_check(spec: ExperimentSpec) -> dict:
+def _run_oracle_check(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
     try:
         ocfg = OracleConfig(
             alpha=spec.alpha, theta=spec.theta, grid_step=spec.grid_step
         )
     except ValueError as exc:
         raise InvalidSpec(str(exc)) from exc
-    cfg = _analyzer_config(spec)
     max_density_dev = 0.0
     max_collapse_dev = 0.0
     details = []
@@ -409,6 +427,7 @@ def _run_oracle_check(spec: ExperimentSpec) -> dict:
     }
 
 
+# Each runner takes the spec and the operating point its validate() returned.
 _RUNNERS = {
     "demo2mode": _run_demo2mode,
     "symmetry": _run_symmetry,
@@ -420,8 +439,8 @@ _RUNNERS = {
 
 def run(spec: ExperimentSpec) -> dict:
     """Execute one experiment; returns the report and writes any output files."""
-    spec.validate()
-    report = _RUNNERS[spec.command](spec)
+    cfg = spec.validate()
+    report = _RUNNERS[spec.command](spec, cfg)
     _write_json(report, spec.out)
     return report
 

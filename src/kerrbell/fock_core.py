@@ -69,15 +69,34 @@ class TwoQubitState:
 
 
 def normalized_amps(amps: Iterable[complex]) -> Amps:
-    """amps / ||amps|| for any finite, nonzero amps.  An exact power-of-two rescale
-    first keeps the norm from overflowing or underflowing."""
-    amps = [complex(a) for a in amps]
-    e = math.frexp(max((max(abs(a.real), abs(a.imag)) for a in amps), default=0.0))[1]
-    amps = [complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)) for a in amps]
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return tuple(a / norm for a in amps)
+    """amps / ||amps|| for any finite, nonzero amps, in one pass over them.
+
+    Each value goes through complex(), so complex() strings work too.  An exact
+    rescale by 2**-e, with e the binary exponent of the largest real or
+    imaginary part, first keeps the norm from overflowing or underflowing;
+    e == 0 leaves every value as it is.  Raises ValueError on a string complex()
+    cannot read, on the zero vector and on a NaN or infinite part.
+    """
+    amps = list(map(complex, amps))
+    top = 0.0
+    for a in amps:
+        re, im = abs(a.real), abs(a.imag)
+        if re > top:
+            top = re
+        if im > top:
+            top = im
+    e = math.frexp(top)[1]
+    if e:
+        amps = [complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)) for a in amps]
+    norm = math.sqrt(sum([abs(a) ** 2 for a in amps]))
+    # Finite parts give a norm of at least 0.5 (the largest part is rescaled
+    # into [0.5, 1)) or exactly 0; a NaN or infinite part gives a NaN or
+    # infinite norm.
+    if not 0.0 < norm < math.inf:
+        raise ValueError(
+            "cannot normalize the zero vector" if norm == 0.0 else "amplitudes must be finite"
+        )
+    return tuple([a / norm for a in amps])
 
 
 def _bell_states() -> dict[BellLabel, TwoQubitState]:

@@ -48,6 +48,52 @@ class TestValidation:
         with pytest.raises(InvalidSpec):
             run(_spec(command="nope"))
 
+    # A wrong type must not escape as a TypeError from range, SeedSequence or <.
+    @pytest.mark.parametrize("trials", [2.5, "3", None])
+    def test_non_integral_trials(self, trials):
+        with pytest.raises(InvalidSpec, match="trials must be an integer"):
+            run(_spec(command="symmetry", trials=trials))
+
+    @pytest.mark.parametrize("seed", [1.5, "1", None])
+    def test_non_integral_seed(self, seed):
+        with pytest.raises(InvalidSpec, match="seed must be an integer"):
+            run(_spec(command="symmetry", trials=1, seed=seed))
+
+    @pytest.mark.parametrize("theta", ["0.1", 0.1j, None])
+    def test_non_real_theta(self, theta):
+        with pytest.raises(InvalidSpec, match="theta must be a real number"):
+            run(_spec(command="symmetry", trials=1, theta=theta))
+
+    @pytest.mark.parametrize("alpha", ["10", 10j, None])
+    def test_non_real_alpha(self, alpha):
+        with pytest.raises(InvalidSpec, match="alpha must be a real number"):
+            run(_spec(command="bell", trials=1, alpha=alpha))
+
+    @pytest.mark.parametrize("grid_step", ["0.01", 0.01j, None])
+    def test_non_real_grid_step(self, grid_step):
+        with pytest.raises(InvalidSpec, match="grid_step must be a real number"):
+            run(_spec(command="oracle-check", grid_step=grid_step))
+
+    def test_numpy_scalars_accepted(self):
+        spec = _spec(command="symmetry", trials=np.int64(2), seed=np.int64(1), theta=np.float64(0.3))
+        assert spec.validate().theta == 0.3
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("0,0,0,0", "zero vector"),
+            ("0j,-0.0,0,(-0-0j)", "zero vector"),
+            ("nan,1,0,0", "finite"),
+            ("1,(inf+0j),0,0", "finite"),
+            ("1,0,0", "needs 4"),
+            ("1,0,0,x", "malformed"),
+        ],
+    )
+    def test_bad_amplitudes(self, text, match):
+        for command in ("symmetry", "bell"):
+            with pytest.raises(InvalidSpec, match=match):
+                run(_spec(command=command, input=text, trials=1))
+
 
 class TestReports:
     def test_demo_report_shape(self):

@@ -1,9 +1,12 @@
 import cmath
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrbell import (
     BellLabel,
@@ -19,7 +22,7 @@ from kerrbell import (
     extract,
     fidelity,
 )
-from kerrbell.fock_core import pauli_amps
+from kerrbell.fock_core import normalized_amps, pauli_amps
 from conftest import random_state
 
 R = 1.0 / math.sqrt(2.0)
@@ -242,3 +245,64 @@ class TestStateValidation:
         out = apply_phase_shift(s, 0.37, modes=(0,))
         assert out.amplitude((2, 0)) == pytest.approx(R * cmath.exp(0.74j), abs=1e-12)
         assert out.amplitude((0, 2)) == pytest.approx(R, abs=1e-12)
+
+
+def reference_normalized_amps(amps):
+    """normalized_amps as first written, with list and generator passes: the
+    operations and their order that the one-pass version must keep."""
+    amps = [complex(a) for a in amps]
+    e = math.frexp(max((max(abs(a.real), abs(a.imag)) for a in amps), default=0.0))[1]
+    amps = [complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)) for a in amps]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return tuple(a / norm for a in amps)
+
+
+def _bits(amps):
+    """The float bit patterns, so that -0.0 and 0.0 differ."""
+    return [struct.pack("<dd", a.real, a.imag) for a in amps]
+
+
+# Finite parts from the smallest subnormal to +/-1e308, zeros of both signs
+# included, with the extremes drawn often.
+_PARTS = st.one_of(
+    st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, 1e308, -1e308, 0.5, 1.0]),
+)
+_AMPS = st.builds(complex, _PARTS, _PARTS)
+
+
+class TestNormalizedAmps:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.tuples(_AMPS, _AMPS), st.tuples(_AMPS, _AMPS, _AMPS, _AMPS)))
+    def test_bit_identical_to_reference(self, amps):
+        try:
+            want = reference_normalized_amps(amps)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                normalized_amps(amps)
+            return
+        got = normalized_amps(amps)
+        assert type(got) is tuple and len(got) == len(amps)
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_zero_vector(self, n):
+        for zeros in ([0.0] * n, [complex(-0.0, -0.0)] * n):
+            with pytest.raises(ValueError, match="zero vector"):
+                normalized_amps(zeros)
+
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            (math.nan, 1.0),
+            (1.0, complex(0.0, math.nan), 0.0, 0.0),
+            (math.inf, 0.0),
+            (1e-320, complex(-math.inf, 1.0), 0.0, 0.0),
+            (complex(math.inf, math.nan), 0.0),
+        ],
+    )
+    def test_non_finite_rejected(self, amps):
+        with pytest.raises(ValueError, match="finite"):
+            normalized_amps(amps)

@@ -1,14 +1,19 @@
 """The digest tool's spec set: every command, pinned point and seed, sampled
-and --ideal, and every spec valid."""
+and --ideal, and every spec valid; and the Monte Carlo reports against their
+recorded digests."""
 
+import hashlib
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
 
-from kerrbell.cli import COMMANDS, ExperimentSpec
+from kerrbell.cli import COMMANDS, ExperimentSpec, run
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
+_GOLDEN = Path(__file__).resolve().parent / "data" / "report_digests_mc.txt"
+_MC_COMMANDS = ("demo2mode", "symmetry", "bell", "sweep")
 _spec = importlib.util.spec_from_file_location("report_digests", _PATH)
 report_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(report_digests)
@@ -42,3 +47,29 @@ def test_digests_repeat(capsys, monkeypatch):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == len(few)
+
+
+def test_golden_file_lists_every_monte_carlo_spec():
+    recorded = [json.loads(line.split("  ", 1)[1]) for line in _GOLDEN.read_text().splitlines()]
+    want = [s for s in report_digests.specs() if s["command"] in _MC_COMMANDS]
+    assert recorded == want, (
+        f"{_GOLDEN.name} does not list the tool's Monte Carlo spec set; regenerate it with "
+        "python3 tools/report_digests.py --src src --commands " + ",".join(_MC_COMMANDS)
+    )
+
+
+def test_monte_carlo_reports_match_recorded_digests():
+    """Report bytes of every seeded demo2mode, symmetry, bell and sweep spec in
+    the tool's set, against the digests recorded in tests/data.  oracle-check is
+    left out: its bytes depend on the BLAS build."""
+    mismatched = []
+    for line in _GOLDEN.read_text().splitlines():
+        digest, spec_json = line.split("  ", 1)
+        report = json.dumps(run(ExperimentSpec(**json.loads(spec_json))), sort_keys=True)
+        if hashlib.sha256(report.encode()).hexdigest() != digest:
+            mismatched.append(spec_json)
+    assert not mismatched, (
+        f"{len(mismatched)} reports changed bytes, first {mismatched[0]}.  If the change "
+        f"is deliberate, regenerate {_GOLDEN.name} with python3 tools/report_digests.py "
+        "--src src --commands " + ",".join(_MC_COMMANDS) + " and say so in CHANGES.md"
+    )

@@ -2,16 +2,26 @@
 """Print one sha256 per seeded report of a fixed spec set, to diff two checkouts.
 
     python3 tools/report_digests.py --src path/to/checkout/src > digests.txt
+    python3 tools/report_digests.py --src src --commands demo2mode,symmetry,bell,sweep
 
 The spec set covers all five commands at the three pinned operating points,
 seeds 1-3, sampled and --ideal where the command has it: demo2mode over
 four inputs and both signs, symmetry over the four Bell states and two mixed
 inputs, bell over all four Bell inputs and one mixed input under all four
 policies, sweep, and oracle-check at alpha 2 and 4 (its alpha cap) at each
-pinned theta.  Each line is "<sha256 of the sorted-key JSON report>  <spec>".
-Two checkouts give byte-identical reports exactly when
-``diff <(... --src A/src) <(... --src B/src)`` prints nothing.  The report
-count goes to stderr.
+pinned theta.  The input parser's edge cases come on top: symmetry and bell
+(sampled and --ideal, default policy) and demo2mode (both signs) on values
+written as repr(complex) writes them, as perfbench does, with whitespace
+around them, and subnormal or huge.  Each line is
+"<sha256 of the sorted-key JSON report>  <spec>".  Two checkouts give
+byte-identical reports exactly when ``diff <(... --src A/src) <(... --src
+B/src)`` prints nothing.  --commands keeps the specs of the listed commands
+only.  The report count goes to stderr.
+
+tests/data/report_digests_mc.txt holds the Monte Carlo commands' lines (all
+but oracle-check, whose bytes depend on the BLAS build);
+tests/test_report_digests.py recomputes them.  A change that alters report
+bytes on purpose regenerates that file with the second command above.
 """
 
 from __future__ import annotations
@@ -33,6 +43,17 @@ TRIALS = 200
 BELL_LABELS = ("PsiMinus", "PsiPlus", "PhiMinus", "PhiPlus")
 MIXED = ("0.5,0.5j,-0.5,0.5", "0.3,0.5,0.2,0.7")
 DEMO_INPUTS = (None, "0.6,0.8j", "1,0", "0,1")
+# Parser edge cases: repr(complex) values (signed zeros included), spaces and
+# tabs around values, subnormal and huge amplitudes.
+EDGE_INPUTS = (
+    "(0.5+0j),0.5j,(-0.5-0j),(0.5+0j)",
+    "(0.3980606506533299+0.21626123292890712j),(0.16009139840198477-0.2601451245065213j),"
+    "(-0.6313585205233393+0.28154228639244233j),(0.43863021795623547+0.17662940671887473j)",
+    " 0.3 , 0.5j ,\t-0.2 , 0.7 ",
+    "1e-320,-1e-320j,1e-320,0",
+    "1e308,1e308j,-1e308,0",
+)
+DEMO_EDGE_INPUTS = ("(0.6+0j),0.8j", " 0.6 ,\t0.8j ", "1e-320,1e-320j", "1e308,-1e308")
 
 
 def specs() -> list[dict]:
@@ -41,7 +62,7 @@ def specs() -> list[dict]:
     for point in POINTS:
         for seed in SEEDS:
             base = dict(point, seed=seed, trials=TRIALS)
-            for text in DEMO_INPUTS:
+            for text in DEMO_INPUTS + DEMO_EDGE_INPUTS:
                 for sign in (1, -1):
                     out.append(dict(base, command="demo2mode", input=text, sign=sign))
             for text in BELL_LABELS + MIXED:
@@ -55,6 +76,11 @@ def specs() -> list[dict]:
                                 dict(base, command="bell", input=text, early_exit=early_exit,
                                      omit_final=omit_final, ideal=ideal)
                             )
+            for text in EDGE_INPUTS:
+                for ideal in (False, True):
+                    out.append(dict(base, command="symmetry", input=text, ideal=ideal))
+                    out.append(dict(base, command="bell", input=text, early_exit=True,
+                                    omit_final=False, ideal=ideal))
             out.append(dict(base, command="sweep"))
             for alpha in (2.0, 4.0):
                 out.append(dict(base, command="oracle-check", alpha=alpha, trials=1))
@@ -64,6 +90,9 @@ def specs() -> list[dict]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, type=Path, help="a checkout's src directory")
+    parser.add_argument(
+        "--commands", default=None, help="comma-separated commands to keep (default: all)"
+    )
     args = parser.parse_args(argv)
     src = args.src.resolve()
     if not (src / "kerrbell" / "__init__.py").is_file():
@@ -75,6 +104,11 @@ def main(argv: list[str] | None = None) -> int:
     if src not in Path(kerrbell.__file__).resolve().parents:
         parser.error(f"imported kerrbell from {kerrbell.__file__}, not {src}")
     all_specs = specs()
+    if args.commands is not None:
+        keep = set(args.commands.split(","))
+        if not keep <= {kwargs["command"] for kwargs in all_specs}:
+            parser.error(f"--commands {args.commands!r} names a command outside the set")
+        all_specs = [kwargs for kwargs in all_specs if kwargs["command"] in keep]
     for kwargs in all_specs:
         report = json.dumps(run(ExperimentSpec(**kwargs)), sort_keys=True)
         digest = hashlib.sha256(report.encode()).hexdigest()
