@@ -45,7 +45,6 @@ from .analyzers import (
     kraus,
     phase_phi,
     run_symmetry_analyzer,
-    run_two_mode_demo,
     sample_outcome,
     shot,
     symmetry_pointer,

@@ -211,23 +211,6 @@ def two_mode_fidelity(a: Amps, b: Amps) -> float:
     return min(1.0, abs(ov) ** 2)
 
 
-def run_two_mode_demo(
-    d1: complex,
-    d2: complex,
-    sign: int,
-    cfg: AnalyzerConfig,
-    rng: np.random.Generator,
-) -> tuple[Classification, SpatialFockState]:
-    """One shot of the two-mode demonstrator: x from sample_outcome(|d1|^2).
-
-    The phase-corrected post state is g_B*d1|1,1> + g_T*d2*(|2,0> +
-    sign*|0,2>)/sqrt2, normalized, with the weights of K(x) (see kraus).
-    """
-    balanced, post = two_mode_shot(two_mode_amps(d1, d2, sign), cfg, rng)
-    cls = Classification.BALANCED if balanced else Classification.BUNCHED
-    return cls, SpatialFockState(dict(zip(DEMO_OCCUPATIONS, post)), max_total=2)
-
-
 def symmetry_pointer(q: TwoQubitState, cfg: AnalyzerConfig) -> PointerDecomposition:
     """Probe-attached state of the four-mode analyzer just before homodyning."""
     s = apply_beam_splitter(embed(q))

@@ -36,6 +36,7 @@ from .analyzers import (
     Symmetry,
     check_domain,
     error_probability,
+    sample_outcome,
     shot,
     symmetry_pointer,
     two_mode_amps,
@@ -46,13 +47,18 @@ from .analyzers import (
 from .bell_detector import DetectionPolicy, bell_detect, ideal_label
 from .oracle import OracleConfig, full_fock_reference
 
-DEFAULT_ALPHA = math.sqrt(1.3e4)
-COMMANDS = ("demo2mode", "symmetry", "bell", "sweep", "oracle-check")
 _BELL_INPUTS = {label.value: bell_state(label) for label in BellLabel}
 _BELL_NAMES = tuple((label, label.value) for label in BellLabel)  # in report order
 _DEFAULT_INPUT = BellLabel.PSI_MINUS.value  # of the symmetry runner
+_DEMO_INPUT = (complex(1.0 / math.sqrt(2.0)),) * 2  # d1 = d2 = 1/sqrt2, of demo2mode
 _PSI_MINUS = _BELL_INPUTS[_DEFAULT_INPUT]
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# demo2mode's conditional targets by sign: |1,1> and (|2,0> + sign*|0,2>)/sqrt2.
+_DEMO_TARGETS = {s: (two_mode_amps(1, 0, s), two_mode_amps(0, 1, s)) for s in (1, -1)}
+# The sweep CSV's columns and the table keys they hold: "analytic" is the exact
+# value, which the empirical rate estimates; the small-angle one stays in the JSON.
+_SWEEP_HEADER = "alpha_theta_sq,analytic,empirical,ci_low,ci_high"
+_SWEEP_KEYS = ("alpha_theta_sq", "analytic_exact", "empirical", "ci_low", "ci_high")
 
 # Report keys: the outcome names of the symmetry analyzer and the demonstrator.
 SINGLET, TRIPLET = Symmetry.SINGLET.value, Symmetry.TRIPLET.value
@@ -65,7 +71,7 @@ class ExperimentSpec:
 
     command: str
     theta: float = 0.1
-    alpha: float = DEFAULT_ALPHA
+    alpha: float = math.sqrt(1.3e4)  # mean probe photon number 1.3e4
     trials: int = 1000
     seed: int = 0
     input: str | None = None
@@ -90,8 +96,6 @@ class ExperimentSpec:
         check_domain(grid_step=_real("grid_step", self.grid_step))
         if self.sign not in (1, -1):
             raise InvalidSpec(f"sign must be +1 or -1, got {self.sign!r}")
-        if self.command == "oracle-check" and self.alpha > 4.0:
-            raise InvalidSpec("oracle-check requires alpha <= 4")
         return cfg
 
 
@@ -143,13 +147,6 @@ def _parse_qubit_input(text: str) -> TwoQubitState:
     return state
 
 
-def _parse_demo_input(text: str | None) -> Amps:
-    if text is None:
-        r = 1.0 / math.sqrt(2.0)
-        return complex(r), complex(r)
-    return _parse_amps(text, 2, "demo input")
-
-
 def _rate_ci(successes: int, trials: int) -> dict:
     p = successes / trials
     half = _Z95 * math.sqrt(p * (1.0 - p) / trials)  # p*(1-p) >= 0 for p in [0, 1]
@@ -162,12 +159,18 @@ def _rate_ci(successes: int, trials: int) -> dict:
 
 
 def _summarize(
-    report: dict, spec: ExperimentSpec, names: tuple[str, str], first: int, true_name=None
-) -> None:
-    """Add counts, rates and analytic_error_probability to the report of a
-    campaign whose trials each gave one of two outcomes, `first` of them
-    names[0].  When true_name names the outcome every trial should give,
-    empirical_error is the rate of the other one."""
+    spec: ExperimentSpec,
+    names: tuple[str, str],
+    first: int,
+    csv_path: str | None,
+    true_name: str | None = None,
+    **report,
+) -> dict:
+    """The report of a campaign whose trials each gave one of two outcomes,
+    `first` of them names[0]: the runner's fields in report, plus counts,
+    rates, analytic_error_probability and any density_csv.  When true_name
+    names the outcome every trial should give, empirical_error is the rate of
+    the other."""
     trials = spec.trials
     second = trials - first
     report["counts"] = {names[0]: first, names[1]: second}
@@ -177,6 +180,9 @@ def _summarize(
     if true_name is not None:
         wrong = names[1] if true_name == names[0] else names[0]
         report["empirical_error"] = dict(rates[wrong])
+    if csv_path:
+        report["density_csv"] = csv_path
+    return report
 
 
 def _write_json(report: dict, out: str | None) -> None:
@@ -187,37 +193,33 @@ def _write_json(report: dict, out: str | None) -> None:
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows: list[tuple]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [header]
-    lines += [",".join(repr(float(v)) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _sidecar(out: str | None, suffix: str) -> Path | None:
+def _write_csv(out: str | None, suffix: str, header: str, rows) -> str | None:
+    """Write the rows that rows() returns, as floats under header, to the CSV
+    next to the report named by out's stem and suffix, and return its path;
+    without out, write nothing, return None and never call rows()."""
     if out is None:
         return None
     path = Path(out)
-    return path.with_name(path.stem + suffix)
+    path = path.with_name(path.stem + suffix)
+    lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows()]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 def _density_csv(pointer, spec: ExperimentSpec) -> str | None:
     """Write the density CSV next to the report; pointer() is built only then."""
-    path = _sidecar(spec.out, "_density.csv")
-    if path is None:
-        return None
-    xs, ps = density_grid(pointer(), step=spec.grid_step)
-    _write_csv(path, "x,p", list(zip(xs, ps)))
-    return str(path)
+    return _write_csv(
+        spec.out, "_density.csv", "x,p", lambda: zip(*density_grid(pointer(), spec.grid_step))
+    )
 
 
 def _run_demo2mode(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
-    d1, d2 = _parse_demo_input(spec.input)
+    d1, d2 = _DEMO_INPUT if spec.input is None else _parse_amps(spec.input, 2, "demo input")
     csv_path = _density_csv(lambda: two_mode_pointer(d1, d2, spec.sign, cfg), spec)
     rng = np.random.default_rng(spec.seed)
     amps = two_mode_amps(d1, d2, spec.sign)
-    balanced_target = two_mode_amps(1, 0, spec.sign)  # |1,1>
-    bunched_target = two_mode_amps(0, 1, spec.sign)  # (|2,0> + sign*|0,2>)/sqrt2
+    balanced_target, bunched_target = _DEMO_TARGETS[spec.sign]
     n_balanced = 0
     fid_balanced = fid_bunched = 0.0
     for _ in range(spec.trials):
@@ -228,17 +230,13 @@ def _run_demo2mode(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
         else:
             fid_bunched += two_mode_fidelity(post, bunched_target)
     n_bunched = spec.trials - n_balanced
-    report = {
-        "spec": dict(vars(spec)),
-        "mean_conditional_fidelity": {
-            BALANCED: fid_balanced / n_balanced if n_balanced else None,
-            BUNCHED: fid_bunched / n_bunched if n_bunched else None,
-        },
+    fidelities = {
+        BALANCED: fid_balanced / n_balanced if n_balanced else None,
+        BUNCHED: fid_bunched / n_bunched if n_bunched else None,
     }
-    _summarize(report, spec, (BALANCED, BUNCHED), n_balanced)
-    if csv_path:
-        report["density_csv"] = csv_path
-    return report
+    return _summarize(
+        spec, (BALANCED, BUNCHED), n_balanced, csv_path, mean_conditional_fidelity=fidelities
+    )
 
 
 def _true_symmetry(amps: Amps) -> str | None:
@@ -263,24 +261,22 @@ def _run_symmetry(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
         n_singlet += singlet
         fid_sum += fidelity_amps(post, amps)
     true_symmetry = _true_symmetry(amps)
-    report = {
-        "spec": dict(vars(spec)),
-        "input": input_text,
-        "true_symmetry": true_symmetry,
-        "mean_post_fidelity_vs_input": fid_sum / spec.trials,
-    }
-    _summarize(report, spec, (SINGLET, TRIPLET), n_singlet, true_symmetry)
-    if csv_path:
-        report["density_csv"] = csv_path
-    return report
+    return _summarize(
+        spec,
+        (SINGLET, TRIPLET),
+        n_singlet,
+        csv_path,
+        true_symmetry,
+        input=input_text,
+        true_symmetry=true_symmetry,
+        mean_post_fidelity_vs_input=fid_sum / spec.trials,
+    )
 
 
 def _run_bell(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
     policy = DetectionPolicy(early_exit=spec.early_exit, omit_final=spec.omit_final)
-    if spec.input is not None:
-        inputs = [(_parse_qubit_input(spec.input), spec.input)]
-    else:
-        inputs = [(bell_state(label), name) for label, name in _BELL_NAMES]
+    names = _BELL_INPUTS if spec.input is None else (spec.input,)  # default: every label
+    inputs = [(_parse_qubit_input(name), name) for name in names]
     rng = np.random.default_rng(spec.seed)
     ideal = spec.ideal
     rows = []
@@ -318,7 +314,6 @@ def _run_bell(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
             )
         rows.append(row)
     return {
-        "spec": dict(vars(spec)),
         "policy": {"early_exit": policy.early_exit, "omit_final": policy.omit_final},
         "analytic_error_probability": _analytic_errors(spec.theta, spec.alpha),
         "results": rows,
@@ -342,17 +337,17 @@ def _run_sweep(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
         raise InvalidSpec(f"theta {spec.theta!r} squares to 0, so no target sets alpha")
     points = [AnalyzerConfig(spec.theta, t / theta_sq) for t in targets]
     rng = np.random.default_rng(spec.seed)
-    singlet = bell_state(BellLabel.PSI_MINUS).amps
-    triplet = bell_state(BellLabel.PHI_PLUS).amps
+    n_singlet = spec.trials // 2
+    n_triplet = spec.trials - n_singlet
     table = []
     for target, point in zip(targets, points):
-        n_singlet = spec.trials // 2
-        n_triplet = spec.trials - n_singlet
+        # Only the decision is read: a PsiMinus shot draws from the Balanced
+        # peak (singlet weight 1), a PhiPlus shot from the Bunched one (weight 0).
         errors = 0
         for _ in range(n_singlet):
-            errors += not shot(singlet, point, rng)[0]
+            errors += sample_outcome(1.0, point, rng) < point.threshold
         for _ in range(n_triplet):
-            errors += shot(triplet, point, rng)[0]
+            errors += sample_outcome(0.0, point, rng) >= point.threshold
         ci = _rate_ci(errors, spec.trials)
         analytic = _analytic_errors(spec.theta, point.alpha)
         table.append(
@@ -366,26 +361,12 @@ def _run_sweep(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
                 "ci_high": ci["ci_high"],
             }
         )
-    report = {"spec": dict(vars(spec)), "sweep": table}
-    path = _sidecar(spec.out, "_sweep.csv")
-    if path is not None:
-        # "analytic" is the exact-mode value: it is what the empirical rate
-        # estimates; the small-angle figure stays in the JSON report.
-        _write_csv(
-            path,
-            "alpha_theta_sq,analytic,empirical,ci_low,ci_high",
-            [
-                (
-                    row["alpha_theta_sq"],
-                    row["analytic_exact"],
-                    row["empirical"],
-                    row["ci_low"],
-                    row["ci_high"],
-                )
-                for row in table
-            ],
-        )
-        report["sweep_csv"] = str(path)
+    report = {"sweep": table}
+    path = _write_csv(
+        spec.out, "_sweep.csv", _SWEEP_HEADER, lambda: ([r[k] for k in _SWEEP_KEYS] for r in table)
+    )
+    if path:
+        report["sweep_csv"] = path
     return report
 
 
@@ -419,7 +400,6 @@ def _run_oracle_check(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
         )
     passed = max_density_dev < 1e-8 and max_collapse_dev < 1e-8
     return {
-        "spec": dict(vars(spec)),
         "per_input": details,
         "max_density_deviation": max_density_dev,
         "max_collapse_deviation": max_collapse_dev,
@@ -435,55 +415,57 @@ _RUNNERS = {
     "sweep": _run_sweep,
     "oracle-check": _run_oracle_check,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(spec: ExperimentSpec) -> dict:
     """Execute one experiment; returns the report and writes any output files."""
     cfg = spec.validate()
     report = _RUNNERS[spec.command](spec, cfg)
+    report["spec"] = dict(vars(spec))
     _write_json(report, spec.out)
     return report
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Options absent from the command line stay out of the namespace, so the
+    defaults are ExperimentSpec's."""
     parser = argparse.ArgumentParser(
         prog="kerrbell",
         description="Seeded experiments on the cross-Kerr symmetry analyzer "
         "and Bell-state detector.",
+        argument_default=argparse.SUPPRESS,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--theta", type=float, default=0.1, help="per-photon cross-phase (rad)")
-        p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="probe coherent amplitude")
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", type=str, default=None, help="JSON report path; CSVs are written alongside")
-        p.add_argument("--grid-step", type=float, default=0.01, dest="grid_step")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--theta", type=float, help="per-photon cross-phase (rad)")
+        p.add_argument("--alpha", type=float, help="probe coherent amplitude")
+        p.add_argument("--trials", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", type=str, help="JSON report path; CSVs are written alongside")
+        p.add_argument("--grid-step", type=float, dest="grid_step")
+        return p
 
-    p = sub.add_parser("demo2mode", help="two-mode balanced/bunched demonstrator")
-    common(p)
-    p.add_argument("--input", type=str, default=None, help="d1,d2 amplitudes (default 1/sqrt2 each)")
-    p.add_argument("--sign", type=int, choices=(1, -1), default=1)
+    p = command("demo2mode", "two-mode balanced/bunched demonstrator")
+    p.add_argument("--input", type=str, help="d1,d2 amplitudes (default 1/sqrt2 each)")
+    p.add_argument("--sign", type=int, choices=(1, -1))
 
-    p = sub.add_parser("symmetry", help="singlet/triplet analysis of a two-qubit input")
-    common(p)
-    p.add_argument("--input", type=str, default=None, help="Bell label or HH,HV,VH,VV amplitudes")
+    p = command("symmetry", "singlet/triplet analysis of a two-qubit input")
+    p.add_argument("--input", type=str, help="Bell label or HH,HV,VH,VV amplitudes")
     p.add_argument("--ideal", action="store_true", help="exact subspace projection instead of sampling")
 
-    p = sub.add_parser("bell", help="full Bell-state identification")
-    common(p)
-    p.add_argument("--input", type=str, default=None, help="Bell label or amplitudes; default: all four")
-    p.add_argument("--early-exit", action=argparse.BooleanOptionalAction, default=True, dest="early_exit")
+    p = command("bell", "full Bell-state identification")
+    p.add_argument("--input", type=str, help="Bell label or amplitudes; default: all four")
+    p.add_argument("--early-exit", action=argparse.BooleanOptionalAction, dest="early_exit")
     p.add_argument("--omit-final", action="store_true", dest="omit_final")
     p.add_argument("--ideal", action="store_true")
 
-    p = sub.add_parser("sweep", help="error rate vs alpha*theta^2")
-    common(p)
-    p.add_argument("--targets", type=str, default="1.0,1.2,1.5", help="comma list of alpha*theta^2 values")
+    p = command("sweep", "error rate vs alpha*theta^2")
+    p.add_argument("--targets", type=str, help="comma list of alpha*theta^2 values")
 
-    p = sub.add_parser("oracle-check", help="validate against the number-basis reference")
-    common(p)
+    command("oracle-check", "validate against the number-basis reference")
     return parser
 
 

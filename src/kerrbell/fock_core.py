@@ -272,10 +272,10 @@ _EMBED_OCC = {
 _EXTRACT_IDX = {occ: i for i, occ in _EMBED_OCC.items()}
 
 
-def embed(q: TwoQubitState, max_total: int = 2) -> SpatialFockState:
+def embed(q: TwoQubitState) -> SpatialFockState:
     """Encode a two-qubit polarization state as one photon per spatial arm."""
     amps = {_EMBED_OCC[i]: a for i, a in enumerate(q.amps) if abs(a) > PRUNE_TOL}
-    return SpatialFockState(amps, max_total)
+    return SpatialFockState(amps)
 
 
 def extract(s: SpatialFockState) -> TwoQubitState:
@@ -319,23 +319,19 @@ def _bs_kernel(m: int, n: int) -> tuple[tuple[int, int, float], ...]:
     return tuple(out)
 
 
-def apply_beam_splitter(
-    s: SpatialFockState,
-    pairs: tuple[tuple[int, int], ...] | None = None,
-) -> SpatialFockState:
+def apply_beam_splitter(s: SpatialFockState) -> SpatialFockState:
     """Mix spatial arms on a 50:50 beam splitter, identically per polarization.
 
     For four-mode states the arm-1/arm-2 pairs are (0, 2) and (1, 3); for
     two-mode states the single pair (0, 1).  The chosen convention is an
     involution, so the same element recombines the arms.
     """
-    if pairs is None:
-        if s.n_modes == 4:
-            pairs = ((0, 2), (1, 3))
-        elif s.n_modes == 2:
-            pairs = ((0, 1),)
-        else:
-            raise ValueError(f"no default mode pairing for {s.n_modes} modes")
+    if s.n_modes == 4:
+        pairs = ((0, 2), (1, 3))
+    elif s.n_modes == 2:
+        pairs = ((0, 1),)
+    else:
+        raise ValueError(f"no mode pairing for {s.n_modes} modes")
     out: dict[tuple[int, ...], complex] = {}
     for occ, amp in s.items():
         terms = [(occ, amp)]

@@ -29,7 +29,6 @@ from .fock_core import SpatialFockState
 from .pointer import uniform_grid
 
 _TAIL_TOL = 1e-12
-_GRID_PAD = 8.0  # grid half-width around the outermost pointer centers
 _BLOCK = 2048  # grid points per wavefunction table block
 
 
@@ -147,7 +146,7 @@ def _densities(joints: list, cfg: OracleConfig) -> list[tuple[np.ndarray, np.nda
     out = []
     for _, nets, joint in joints:
         centers = 2.0 * cfg.alpha * np.cos(cfg.theta * nets)
-        xs = uniform_grid(centers.tolist(), cfg.grid_step, _GRID_PAD)
+        xs = uniform_grid(centers.tolist(), cfg.grid_step)
         p = np.empty(xs.size)
         out.append((xs, p))
         groups.setdefault((xs[0], xs[-1], xs.size), (xs, []))[1].append((joint, p))

@@ -30,6 +30,7 @@ _ROOT4 = (2.0 * math.pi) ** -0.25
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
 _NORM_TOL = 1e-9
 MAX_GRID_POINTS = 1_000_000  # largest tabulated density grid
+GRID_PAD = 8.0  # density grid half-width beyond the outermost pointer centers
 
 
 @dataclass(frozen=True)
@@ -153,29 +154,27 @@ def homodyne_density(pd: PointerDecomposition, x):
     return float(total[0]) if scalar else total
 
 
-def uniform_grid(centers, step: float, pad: float) -> np.ndarray:
-    """Uniform x grid from min(centers) - pad to max(centers) + pad at the step.
+def uniform_grid(centers, step: float) -> np.ndarray:
+    """Uniform x grid from min(centers) - GRID_PAD to max(centers) + GRID_PAD
+    at the step.
 
     Raises InvalidSpec, before allocating, when the grid would hold more than
-    MAX_GRID_POINTS.
+    MAX_GRID_POINTS; the step count is checked before it is rounded, since a
+    subnormal step makes it infinite.
     """
-    lo, hi = min(centers) - pad, max(centers) + pad
-    count = max(2, math.ceil((hi - lo) / step) + 1)
-    if count > MAX_GRID_POINTS:
+    lo, hi = min(centers) - GRID_PAD, max(centers) + GRID_PAD
+    steps = (hi - lo) / step
+    if not steps <= MAX_GRID_POINTS - 1:
         raise InvalidSpec(
-            f"density grid of {count} points exceeds {MAX_GRID_POINTS}; "
+            f"density grid would exceed {MAX_GRID_POINTS} points; "
             f"use a coarser grid step than {step!r}"
         )
-    return np.linspace(lo, hi, count)
+    return np.linspace(lo, hi, max(2, math.ceil(steps) + 1))
 
 
-def density_grid(
-    pd: PointerDecomposition,
-    step: float = 0.01,
-    pad: float = 8.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform x grid spanning all pointer centers +/- pad, with its density."""
-    xs = uniform_grid([2.0 * br.beta.real for br in pd.branches], step, pad)
+def density_grid(pd: PointerDecomposition, step: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform x grid spanning all pointer centers +/- GRID_PAD, with its density."""
+    xs = uniform_grid([2.0 * br.beta.real for br in pd.branches], step)
     return xs, homodyne_density(pd, xs)
 
 

@@ -17,7 +17,6 @@ from kerrbell import (
     fidelity,
     phase_phi,
     run_symmetry_analyzer,
-    run_two_mode_demo,
     sample_outcome,
     shot,
     two_mode_input,
@@ -155,14 +154,19 @@ class TestAnalyzerConfig:
         assert list(AnalyzerConfig.__dataclass_fields__) == ["theta", "alpha"]
 
 
+def demo_post_state(post):
+    """A two_mode_shot post tuple as the SpatialFockState it stands for."""
+    return SpatialFockState(dict(zip(DEMO_OCCUPATIONS, post)))
+
+
 class TestTwoModeDemo:
     def test_balanced_only_input(self, rng):
         cfg = AnalyzerConfig(theta=0.3, alpha=1.5 / 0.09)
         target = SpatialFockState({(1, 1): 1.0})
         for _ in range(20):
-            cls, post = run_two_mode_demo(1.0, 0.0, 1, cfg, rng)
-            assert post.fidelity(target) == pytest.approx(1.0, abs=1e-12)
-        assert cls is Classification.BALANCED  # overwhelming at this operating point
+            balanced, post = two_mode_shot(two_mode_amps(1.0, 0.0, 1), cfg, rng)
+            assert demo_post_state(post).fidelity(target) == pytest.approx(1.0, abs=1e-12)
+        assert balanced  # overwhelming at this operating point
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_bunched_only_input_exact_restoration(self, rng, sign):
@@ -170,8 +174,8 @@ class TestTwoModeDemo:
         r = 1.0 / math.sqrt(2.0)
         target = SpatialFockState({(2, 0): r, (0, 2): sign * r})
         for _ in range(20):
-            _, post = run_two_mode_demo(0.0, 1.0, sign, cfg, rng)
-            assert post.fidelity(target) == pytest.approx(1.0, abs=1e-12)
+            _, post = two_mode_shot(two_mode_amps(0.0, 1.0, sign), cfg, rng)
+            assert demo_post_state(post).fidelity(target) == pytest.approx(1.0, abs=1e-12)
 
     def test_misclassification_rate_matches_analytic(self):
         # the 50/50 superposition sets the prior; each trial prepares the
@@ -183,8 +187,7 @@ class TestTwoModeDemo:
         for _ in range(trials):
             branch_balanced = rng.random() < 0.5
             d1, d2 = (1.0, 0.0) if branch_balanced else (0.0, 1.0)
-            cls, _ = run_two_mode_demo(d1, d2, 1, cfg, rng)
-            got_balanced = cls is Classification.BALANCED
+            got_balanced, _ = two_mode_shot(two_mode_amps(d1, d2, 1), cfg, rng)
             if got_balanced != branch_balanced:
                 wrong += 1
         p = error_probability(theta, alpha, "exact")
@@ -221,7 +224,7 @@ class TestTwoModeDemo:
     def test_unnormalized_input_rejected(self, rng):
         cfg = AnalyzerConfig(theta=0.3, alpha=2.0)
         with pytest.raises(ValueError):
-            run_two_mode_demo(1.0, 1.0, 1, cfg, rng)
+            two_mode_shot(two_mode_amps(1.0, 1.0, 1), cfg, rng)
 
 
 class TestSymmetryAnalyzer:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -15,7 +16,7 @@ from kerrbell import (
     two_mode_input,
 )
 from kerrbell.analyzers import _kraus_weights
-from kerrbell.cli import ExperimentSpec, main, run
+from kerrbell.cli import COMMANDS, ExperimentSpec, main, run
 from kerrbell.fock_core import normalized_amps
 
 
@@ -210,6 +211,57 @@ class TestFilesAndDeterminism:
         assert reports[0]["counts"] == reports[1]["counts"]
         assert reports[0]["empirical_error"] == reports[1]["empirical_error"]
 
+    # sha256 of each sidecar CSV: a change to CSV bytes must be deliberate and
+    # update these.  The density values come from numpy's exp, so another numpy
+    # build may differ in the last digit; the sweep CSV is pure Python.
+    PAPER = dict(theta=0.1, alpha=math.sqrt(1.3e4))
+    THRESHOLD = dict(theta=0.3, alpha=1.5 / 0.3**2)
+    STRESS = dict(theta=math.pi / 4.0, alpha=1e3)
+    DEMO_PAPER = "d5302734d753fd22fb12eb02fbd469e7928ac7a578abaa251e52f1ba35722097"
+    DEMO_THRESHOLD = "9ff8234e54c9e1fa2a003eddcc3024e51c8c754cbe7701b948f2dcd2bb724334"
+    MIXED_INPUT = "0.3,0.5,0.2,0.7"
+
+    @pytest.mark.parametrize(
+        "spec, suffix, digest",
+        [
+            pytest.param(dict(command="demo2mode", sign=1, **PAPER), "_density.csv",
+                         DEMO_PAPER, id="demo2mode-paper-plus"),
+            pytest.param(dict(command="demo2mode", sign=-1, **PAPER), "_density.csv",
+                         DEMO_PAPER, id="demo2mode-paper-minus"),
+            pytest.param(dict(command="demo2mode", sign=1, **THRESHOLD), "_density.csv",
+                         DEMO_THRESHOLD, id="demo2mode-threshold-plus"),
+            pytest.param(dict(command="demo2mode", sign=-1, **THRESHOLD), "_density.csv",
+                         DEMO_THRESHOLD, id="demo2mode-threshold-minus"),
+            pytest.param(dict(command="symmetry", input="PhiPlus", **PAPER), "_density.csv",
+                         "1f69f2f82713d53c1d4344bed266b9fd232b01ba94c5169124fa839f5f29aeb2",
+                         id="symmetry-paper-bell"),
+            pytest.param(dict(command="symmetry", input=MIXED_INPUT, **PAPER), "_density.csv",
+                         "462b7139dd8ffeddd7c926c98b686a14b406d577c38d6dd1a993dbb7e36f671f",
+                         id="symmetry-paper-mixed"),
+            pytest.param(dict(command="symmetry", input="PhiPlus", **THRESHOLD), "_density.csv",
+                         "b684d86b558e0d085106a166d7391cc41a198172b5bae5a013bea1294b0ac141",
+                         id="symmetry-threshold-bell"),
+            pytest.param(dict(command="symmetry", input=MIXED_INPUT, **THRESHOLD),
+                         "_density.csv",
+                         "2490f8263c499acb509250870013d52a8b622ba94b2360fd558848ba51492be4",
+                         id="symmetry-threshold-mixed"),
+            pytest.param(dict(command="sweep", trials=200, seed=1, **PAPER), "_sweep.csv",
+                         "8b6c1bb2a6311f564564c3a6d7b48ec83d6a3052751fed5c70627df3a4202085",
+                         id="sweep-paper"),
+            pytest.param(dict(command="sweep", trials=200, seed=1, **THRESHOLD), "_sweep.csv",
+                         "534c751adbd0ec2f651193f07931390f98a4b56140a6f2baa9b5ab9a230e2682",
+                         id="sweep-threshold"),
+            pytest.param(dict(command="sweep", trials=200, seed=1, **STRESS), "_sweep.csv",
+                         "6f87041219aa112761d1a18d5e48428646512b952750eeb2e0ad6fc4e719ddf7",
+                         id="sweep-stress"),
+        ],
+    )
+    def test_sidecar_csv_bytes(self, tmp_path, spec, suffix, digest):
+        report = run(_spec(**dict(dict(trials=1), **spec), out=str(tmp_path / "r.json")))
+        csv_path = tmp_path / ("r" + suffix)
+        assert report["density_csv" if suffix == "_density.csv" else "sweep_csv"] == str(csv_path)
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
     def test_density_csv_grid_is_capped(self, tmp_path):
         out = tmp_path / "r.json"
         spec = _spec(
@@ -259,6 +311,7 @@ class TestMainEntry:
             ["symmetry", "--theta", "-inf"],
             ["symmetry", "--grid-step", "nan"],
             ["oracle-check", "--alpha", "4", "--grid-step", "1e-6"],
+            ["oracle-check", "--alpha", "2", "--theta", "0.3", "--grid-step", "5e-324"],
             ["symmetry", "--alpha", "-1e+308"],
             ["symmetry", "--input", "-1e400,0,0,0"],
         ],
@@ -266,6 +319,30 @@ class TestMainEntry:
     def test_exit_two_outside_domain(self, capsys, argv):
         assert main(argv + ["--trials", "2", "--seed", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv", [["symmetry", "--grid-step", "5e-324"], ["demo2mode", "--grid-step", "1e-310"]]
+    )
+    def test_exit_two_on_subnormal_grid_step_with_out(self, tmp_path, capsys, argv):
+        # The density CSV's step count is infinite; it must not reach math.ceil.
+        out = tmp_path / "r.json"
+        assert main(argv + ["--trials", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: density grid")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_cli_defaults_are_the_spec_defaults(self, capsys, command):
+        # oracle-check refuses the default alpha, so it gets one in range.
+        fields = dict(command=command, trials=1)
+        argv = [command, "--trials", "1"]
+        if command == "oracle-check":
+            fields["alpha"] = 2.0
+            argv += ["--alpha", "2"]
+        assert main(argv) == 0
+        echoed = json.loads(capsys.readouterr().out)["spec"]
+        assert json.dumps(echoed, sort_keys=True) == json.dumps(
+            vars(ExperimentSpec(**fields)), sort_keys=True
+        )
 
     def test_import_loads_no_scipy(self):
         proc = subprocess.run(

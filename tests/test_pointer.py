@@ -27,6 +27,8 @@ from kerrbell import (
     two_mode_pointer,
     x_overlap,
 )
+from kerrbell.errors import InvalidSpec
+from kerrbell.pointer import GRID_PAD, MAX_GRID_POINTS, uniform_grid
 from conftest import random_state
 
 ROOT4 = (2.0 * math.pi) ** -0.25
@@ -175,6 +177,30 @@ class TestHomodyneDensity:
             )
             xs, ps = density_grid(pd)
             assert trapezoid(ps, xs) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestUniformGrid:
+    def test_spans_centers_and_pad(self):
+        xs = uniform_grid([3.0, 1.0], 0.5)
+        assert (xs[0], xs[-1]) == (1.0 - GRID_PAD, 3.0 + GRID_PAD)
+        assert np.allclose(np.diff(xs), 0.5)
+
+    @pytest.mark.parametrize("step", [5e-324, 1e-310, 1e-6])
+    def test_too_fine_a_step_is_invalid(self, step):
+        # A subnormal step makes the step count infinite, past what math.ceil takes.
+        with pytest.raises(InvalidSpec, match="density grid"):
+            uniform_grid([0.0, 10.0], step)
+
+    def test_cap_is_the_rounded_up_point_count(self):
+        span = 2.0 * GRID_PAD
+        for k in (-2, -1, 0, 1, 2):
+            step = span / (MAX_GRID_POINTS - 1) * (1.0 + k * 2.0**-50)
+            points = max(2, math.ceil(span / step) + 1)
+            if points > MAX_GRID_POINTS:
+                with pytest.raises(InvalidSpec):
+                    uniform_grid([0.0], step)
+            else:
+                assert uniform_grid([0.0], step).size == points
 
 
 class TestSampling:

@@ -5,20 +5,24 @@ import contextlib
 import copy
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from kerrbell import (
     AnalyzerConfig,
     BellLabel,
     Classification,
+    DetectionPolicy,
     TwoQubitState,
     ZeroDensity,
     apply_beam_splitter,
+    apply_pauli,
     apply_phase_shift,
+    bell_detect,
     bell_state,
     classify,
     collapse,
@@ -32,7 +36,8 @@ from kerrbell import (
     shot,
     symmetry_pointer,
 )
-from kerrbell.analyzers import _kraus_weights, _project
+from kerrbell import bell_detector
+from kerrbell.analyzers import _kraus_weights, _project, _singlet_amplitude
 from kerrbell.cli import main
 from conftest import random_state, random_triplet
 
@@ -147,6 +152,93 @@ def test_sector_eigenstate_is_undisturbed(theta, alpha, seed, singlet, ideal):
     q = bell_state(BellLabel.PSI_MINUS) if singlet else random_triplet(rng)
     out = run_symmetry_analyzer(q, AnalyzerConfig(theta=theta, alpha=alpha), rng, ideal)
     assert fidelity(out.post_state, q) >= 1.0 - 1e-10
+
+
+# The analyzer reads out only the symmetry: P_S and P_T commute with every U⊗U,
+# so a shot of U⊗U·a with the same draws gives the same decision and U⊗U times
+# the post state.  The decision compares the uniform u with |c|^2, which U⊗U
+# can move by a few ulps (at most 6.5 in 20k scratch samples), so a draw whose
+# u lies that close to |c|^2 is skipped and counted.
+TIE_ULPS = 16
+DRAWS = 4  # seeded draws per example
+
+
+def haar_unitary(rng):
+    """A Haar-random U in U(2): QR of a complex Ginibre matrix, R's phases moved to Q."""
+    z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def near_tie(u, amps):
+    return abs(u - abs(_singlet_amplitude(amps)) ** 2) <= TIE_ULPS * math.ulp(1.0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(cfg=st.sampled_from(PINNED), seed=seeds, ideal=st.booleans())
+def test_shot_commutes_with_local_unitaries(cfg, seed, ideal):
+    rng = np.random.default_rng(seed)
+    amps = random_state(rng).amps
+    unitary = haar_unitary(rng)
+    uu = np.kron(unitary, unitary)
+    moved = tuple(complex(a) for a in uu @ np.asarray(amps))
+    skipped = 0
+    for draw_seed in range(seed, seed + DRAWS):
+        rng, rng_moved = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+        u = copy.deepcopy(rng).random()
+        if near_tie(u, amps) or near_tie(u, moved):
+            skipped += 1
+            continue
+        singlet, post = shot(amps, cfg, rng, ideal)
+        singlet_moved, post_moved = shot(moved, cfg, rng_moved, ideal)
+        assert singlet_moved == singlet
+        assert np.max(np.abs(np.asarray(post_moved) - uu @ np.asarray(post))) <= 1e-12
+    event(f"near-tie draws skipped: {skipped} of {DRAWS}")
+    assert skipped < DRAWS
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    cfg=st.sampled_from(PINNED),
+    seed=seeds,
+    bell=st.sampled_from([None, *BellLabel]),
+    sigma=st.sampled_from("XYZ"),
+    early_exit=st.booleans(),
+    omit_final=st.booleans(),
+    ideal=st.booleans(),
+)
+def test_bell_detect_ignores_a_pauli_on_both_qubits(
+    cfg, seed, bell, sigma, early_exit, omit_final, ideal
+):
+    # sigma⊗sigma maps each Bell state to +/- itself and commutes or
+    # anticommutes with every Pauli on qubit 2, so the label, the analyzer
+    # count and (up to a global phase) sigma⊗sigma of the post state carry over.
+    rng = np.random.default_rng(seed)
+    q = random_state(rng) if bell is None else bell_state(bell)
+    moved = apply_pauli(apply_pauli(q, 1, sigma), 2, sigma)
+    policy = DetectionPolicy(early_exit=early_exit, omit_final=omit_final)
+    gaps = []
+
+    def recording_shot(amps, cfg, rng, ideal=False):
+        gaps.append(near_tie(copy.deepcopy(rng).random(), amps))
+        return shot(amps, cfg, rng, ideal)
+
+    skipped = 0
+    with mock.patch.object(bell_detector, "shot", recording_shot):
+        for draw_seed in range(seed, seed + DRAWS):
+            gaps.clear()
+            trace = bell_detect(q, cfg, policy, np.random.default_rng(draw_seed), ideal)
+            trace_moved = bell_detect(moved, cfg, policy, np.random.default_rng(draw_seed), ideal)
+            if any(gaps):
+                skipped += 1
+                continue
+            assert trace_moved.label is trace.label
+            assert trace_moved.analyzer_count == trace.analyzer_count
+            want = apply_pauli(apply_pauli(trace.post_state, 1, sigma), 2, sigma)
+            assert fidelity(trace_moved.post_state, want) >= 1.0 - 1e-12
+    event(f"near-tie draws skipped: {skipped} of {DRAWS}")
+    assert skipped < DRAWS
 
 
 edge_floats = st.one_of(
