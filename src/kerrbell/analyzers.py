@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .fock_core import (
+    NORM_TOL,
     PRUNE_TOL,
     Amps,
     SpatialFockState,
@@ -142,23 +143,23 @@ def error_probability(theta: float, alpha: float, mode: str = "small-angle") -> 
     return 0.5 * math.erfc(arg)
 
 
-def two_mode_input(d1: complex, d2: complex, sign: int) -> SpatialFockState:
-    """Build d1|1,1> + d2*(|2,0> + sign*|0,2>)/sqrt2 on two modes."""
+def two_mode_amps(d1: complex, d2: complex, sign: int) -> Amps:
+    """d1|1,1> + d2*(|2,0> + sign*|0,2>)/sqrt2 as its amplitude tuple over
+    DEMO_OCCUPATIONS, with every amplitude that SpatialFockState would prune
+    set to 0."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     d1, d2 = complex(d1), complex(d2)
     nsq = abs(d1) ** 2 + abs(d2) ** 2
-    if abs(nsq - 1.0) > 1e-9:
+    if not abs(nsq - 1.0) <= NORM_TOL:  # also rejects a NaN norm
         raise ValueError(f"|d1|^2 + |d2|^2 must be 1, got {nsq!r}")
-    r = 1.0 / math.sqrt(2.0)
-    amps = {(1, 1): d1, (2, 0): d2 * r, (0, 2): sign * d2 * r}
-    return SpatialFockState({o: a for o, a in amps.items() if abs(a) > 0}, max_total=2)
+    amps = (sign * d2 * _R, d1, d2 * _R)
+    return tuple(a if abs(a) > PRUNE_TOL else 0j for a in amps)
 
 
-def two_mode_amps(d1: complex, d2: complex, sign: int) -> Amps:
-    """two_mode_input as its amplitude tuple over DEMO_OCCUPATIONS."""
-    s = two_mode_input(d1, d2, sign)
-    return tuple(s.amplitude(occ) for occ in DEMO_OCCUPATIONS)
+def two_mode_input(d1: complex, d2: complex, sign: int) -> SpatialFockState:
+    """two_mode_amps as a SpatialFockState."""
+    return SpatialFockState(dict(zip(DEMO_OCCUPATIONS, two_mode_amps(d1, d2, sign))))
 
 
 def two_mode_pointer(

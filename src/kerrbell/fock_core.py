@@ -22,7 +22,8 @@ from .errors import NotInQubitSpace, TruncationOverflow
 BASIS = ("HH", "HV", "VH", "VV")
 Amps = tuple[complex, ...]  # amplitudes over BASIS (or over two modes)
 
-_NORM_TOL = 1e-9
+NORM_TOL = 1e-9
+MAX_PHOTONS = 2  # two photonic qubits, one photon per arm: no signal state holds more
 PRUNE_TOL = 1e-14  # SpatialFockState drops amplitudes of modulus <= this
 
 
@@ -49,7 +50,7 @@ class TwoQubitState:
             raise ValueError("a two-qubit state needs exactly 4 amplitudes")
         a0, a1, a2, a3 = amps
         nsq = abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2
-        if not abs(nsq - 1.0) <= _NORM_TOL:  # also rejects a NaN norm
+        if not abs(nsq - 1.0) <= NORM_TOL:  # also rejects a NaN norm
             raise ValueError(
                 f"amplitudes are not normalized (|.|^2 = {nsq!r}); "
                 "use TwoQubitState.normalized"
@@ -172,17 +173,13 @@ class SpatialFockState:
     """Sparse normalized amplitudes over photon-occupation tuples.
 
     Occupations are tuples of non-negative counts, one entry per mode, with
-    total photon number bounded by ``max_total``.  Instances are immutable;
-    every operation returns a new state.
+    total photon number at most MAX_PHOTONS.  Instances are immutable; every
+    operation returns a new state.
     """
 
-    __slots__ = ("_amps", "_n_modes", "_max_total")
+    __slots__ = ("_amps", "_n_modes")
 
-    def __init__(
-        self,
-        amps: Mapping[tuple[int, ...], complex],
-        max_total: int = 2,
-    ) -> None:
+    def __init__(self, amps: Mapping[tuple[int, ...], complex]) -> None:
         pruned: dict[tuple[int, ...], complex] = {}
         n_modes = None
         for occ, amp in amps.items():
@@ -193,9 +190,9 @@ class SpatialFockState:
                 raise ValueError("occupation tuples differ in length")
             if any(n < 0 for n in occ):
                 raise ValueError(f"negative occupation in {occ}")
-            if sum(occ) > max_total:
+            if sum(occ) > MAX_PHOTONS:
                 raise TruncationOverflow(
-                    f"occupation {occ} exceeds the bound of {max_total} photons"
+                    f"occupation {occ} exceeds the bound of {MAX_PHOTONS} photons"
                 )
             amp = complex(amp)
             if not cmath.isfinite(amp):
@@ -205,33 +202,24 @@ class SpatialFockState:
         if not pruned or n_modes is None:
             raise ValueError("state has no amplitude above the pruning threshold")
         nsq = sum(abs(a) ** 2 for a in pruned.values())
-        if abs(nsq - 1.0) > _NORM_TOL:
+        if abs(nsq - 1.0) > NORM_TOL:
             raise ValueError(
                 f"amplitudes are not normalized (|.|^2 = {nsq!r}); "
                 "use SpatialFockState.normalized"
             )
         self._amps = pruned
         self._n_modes = n_modes
-        self._max_total = int(max_total)
 
     @classmethod
-    def normalized(
-        cls,
-        amps: Mapping[tuple[int, ...], complex],
-        max_total: int = 2,
-    ) -> "SpatialFockState":
+    def normalized(cls, amps: Mapping[tuple[int, ...], complex]) -> "SpatialFockState":
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
         if norm < 1e-150:
             raise ValueError("cannot normalize the zero vector")
-        return cls({occ: a / norm for occ, a in amps.items()}, max_total)
+        return cls({occ: a / norm for occ, a in amps.items()})
 
     @property
     def n_modes(self) -> int:
         return self._n_modes
-
-    @property
-    def max_total(self) -> int:
-        return self._max_total
 
     @property
     def amplitudes(self) -> dict[tuple[int, ...], complex]:
@@ -344,12 +332,8 @@ def apply_beam_splitter(s: SpatialFockState) -> SpatialFockState:
                     next_terms.append((tuple(new_occ), cur_amp * coeff))
             terms = next_terms
         for new_occ, new_amp in terms:
-            if sum(new_occ) > s.max_total:
-                raise TruncationOverflow(
-                    f"beam splitter generated {new_occ} beyond {s.max_total} photons"
-                )
             out[new_occ] = out.get(new_occ, 0j) + new_amp
-    return SpatialFockState(out, s.max_total)
+    return SpatialFockState(out)
 
 
 def apply_phase_shift(
@@ -362,4 +346,4 @@ def apply_phase_shift(
     for occ, amp in s.items():
         n = sum(occ[m] for m in modes)
         out[occ] = amp * cmath.exp(1j * phi * n)
-    return SpatialFockState(out, s.max_total)
+    return SpatialFockState(out)

@@ -161,9 +161,9 @@ def _densities(joints: list, cfg: OracleConfig) -> list[tuple[np.ndarray, np.nda
 
 
 def _conditionals(
-    s: SpatialFockState, joint_amps: tuple, cfg: OracleConfig, xs, psi: np.ndarray, convention: str
+    joint_amps: tuple, cfg: OracleConfig, xs, psi: np.ndarray, convention: str
 ) -> list[SpatialFockState]:
-    """Conditional states of s at each x in xs, psi being the table at xs."""
+    """Conditional states of a joint state at each x in xs, psi being the table at xs."""
     if convention not in ("analytic", "fock"):
         raise ValueError(f"convention must be 'analytic' or 'fock', got {convention!r}")
     occs, nets, joint = joint_amps
@@ -178,7 +178,7 @@ def _conditionals(
             raise ZeroDensity(f"conditional density at x={x!r} is numerically zero")
         scale = 1.0 / math.sqrt(nsq)
         state = {occ: complex(a) * scale for occ, a in zip(occs, amps)}
-        out.append(SpatialFockState(state, max_total=s.max_total))
+        out.append(SpatialFockState(state))
     return out
 
 
@@ -193,7 +193,7 @@ def full_fock_reference(
     state is built once, and states share the table at xs and equal grids' blocks."""
     joints = [_joint_amplitudes(s, cfg, weights) for s in states]
     psi = quadrature_wavefunctions(np.asarray(xs, dtype=float), cfg.resolved_n_max)
-    conds = [_conditionals(s, j, cfg, xs, psi, convention) for s, j in zip(states, joints)]
+    conds = [_conditionals(j, cfg, xs, psi, convention) for j in joints]
     return [(grid, p, c) for (grid, p), c in zip(_densities(joints, cfg), conds)]
 
 
@@ -220,4 +220,4 @@ def full_fock_collapse(
     convention of the pointer module; "fock" leaves the raw expansion.
     """
     psi = quadrature_wavefunctions(np.asarray([float(x)]), cfg.resolved_n_max)
-    return _conditionals(s, _joint_amplitudes(s, cfg, weights), cfg, [x], psi, convention)[0]
+    return _conditionals(_joint_amplitudes(s, cfg, weights), cfg, [x], psi, convention)[0]

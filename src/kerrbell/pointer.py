@@ -24,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, ZeroDensity
-from .fock_core import SpatialFockState
+from .fock_core import NORM_TOL, SpatialFockState
 
 _ROOT4 = (2.0 * math.pi) ** -0.25
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
-_NORM_TOL = 1e-9
 MAX_GRID_POINTS = 1_000_000  # largest tabulated density grid
 GRID_PAD = 8.0  # density grid half-width beyond the outermost pointer centers
 
@@ -45,13 +44,9 @@ class PointerBranch:
 class PointerDecomposition:
     """Branches with pairwise-distinct occupations; sum of |d|^2 equals 1."""
 
-    __slots__ = ("_branches", "_max_total")
+    __slots__ = ("_branches",)
 
-    def __init__(
-        self,
-        branches: list[PointerBranch] | tuple[PointerBranch, ...],
-        max_total: int | None = None,
-    ) -> None:
+    def __init__(self, branches: list[PointerBranch] | tuple[PointerBranch, ...]) -> None:
         by_occ: dict[tuple[int, ...], PointerBranch] = {}
         n_modes = None
         for br in branches:
@@ -66,21 +61,13 @@ class PointerDecomposition:
         if not by_occ:
             raise ValueError("decomposition needs at least one branch")
         nsq = sum(abs(br.d) ** 2 for br in by_occ.values())
-        if not abs(nsq - 1.0) <= _NORM_TOL:  # also rejects a NaN norm
+        if not abs(nsq - 1.0) <= NORM_TOL:  # also rejects a NaN norm
             raise ValueError(f"signal amplitudes are not normalized (|.|^2 = {nsq!r})")
-        ordered = tuple(by_occ[occ] for occ in sorted(by_occ))
-        self._branches = ordered
-        if max_total is None:
-            max_total = max(sum(br.occ) for br in ordered)
-        self._max_total = int(max_total)
+        self._branches = tuple(by_occ[occ] for occ in sorted(by_occ))
 
     @property
     def branches(self) -> tuple[PointerBranch, ...]:
         return self._branches
-
-    @property
-    def max_total(self) -> int:
-        return self._max_total
 
     @property
     def n_modes(self) -> int:
@@ -98,10 +85,7 @@ def attach_probe(s: SpatialFockState, alpha: float) -> PointerDecomposition:
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     beta = complex(alpha)
-    return PointerDecomposition(
-        [PointerBranch(occ, amp, beta) for occ, amp in s.items()],
-        max_total=s.max_total,
-    )
+    return PointerDecomposition([PointerBranch(occ, amp, beta) for occ, amp in s.items()])
 
 
 def apply_cross_kerr(
@@ -125,7 +109,7 @@ def apply_cross_kerr(
     for br in pd.branches:
         w = sum(wm * nm for wm, nm in zip(weights, br.occ))
         out.append(PointerBranch(br.occ, br.d, br.beta * cmath.exp(1j * theta * w)))
-    return PointerDecomposition(out, max_total=pd.max_total)
+    return PointerDecomposition(out)
 
 
 def x_overlap(beta: complex, x: float) -> complex:
@@ -194,7 +178,4 @@ def collapse(pd: PointerDecomposition, x: float) -> SpatialFockState:
     if nsq < 1e-300:
         raise ZeroDensity(f"homodyne density at x={x!r} is numerically zero")
     scale = 1.0 / math.sqrt(nsq)
-    return SpatialFockState(
-        {occ: a * scale for occ, a in amps.items()},
-        max_total=pd.max_total,
-    )
+    return SpatialFockState({occ: a * scale for occ, a in amps.items()})

@@ -154,6 +154,14 @@ class TestAnalyzerConfig:
         assert list(AnalyzerConfig.__dataclass_fields__) == ["theta", "alpha"]
 
 
+def demo_input(d1, d2, sign):
+    """d1|1,1> + d2*(|2,0> + sign*|0,2>)/sqrt2 built straight from the formula,
+    so SpatialFockState's own pruning is the reference for two_mode_amps."""
+    r = 1.0 / math.sqrt(2.0)
+    amps = {(1, 1): d1, (2, 0): d2 * r, (0, 2): sign * d2 * r}
+    return SpatialFockState({occ: a for occ, a in amps.items() if a})
+
+
 def demo_post_state(post):
     """A two_mode_shot post tuple as the SpatialFockState it stands for."""
     return SpatialFockState(dict(zip(DEMO_OCCUPATIONS, post)))
@@ -205,7 +213,7 @@ class TestTwoModeDemo:
         amps = two_mode_amps(d1, d2, sign)
         for _ in range(200):
             balanced, post = two_mode_shot(amps, cfg, rng)
-            s = two_mode_input(d1, d2, sign)
+            s = demo_input(d1, d2, sign)
             x = sample_outcome(abs(s.amplitude((1, 1))) ** 2, cfg, ref)
             g_b, g_t = _kraus_weights(x, cfg)
             want = SpatialFockState.normalized(
@@ -213,6 +221,16 @@ class TestTwoModeDemo:
             )
             assert balanced == (classify(x, cfg.theta, cfg.alpha) is Classification.BALANCED)
             assert post == tuple(want.amplitude(occ) for occ in DEMO_OCCUPATIONS)
+
+    @pytest.mark.parametrize("d", [(1e-14, 1.0), (1.005e-14, 1.0), (1.0, 1.2e-14), (1.0, 1.5e-14)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_amps_match_fock_input_bit_for_bit(self, d, sign):
+        # At the pruning edge: each tuple entry is the state's amplitude, signed
+        # zeros and pruned zeros included.
+        d1, d2 = normalized_amps(d)
+        amps = two_mode_amps(d1, d2, sign)
+        for s in (two_mode_input(d1, d2, sign), demo_input(d1, d2, sign)):
+            assert repr(amps) == repr(tuple(s.amplitude(occ) for occ in DEMO_OCCUPATIONS))
 
     def test_shot_tie_goes_to_balanced(self):
         cfg = AnalyzerConfig(theta=math.pi / 6.0, alpha=1.0)

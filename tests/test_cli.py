@@ -13,7 +13,6 @@ from kerrbell import (
     SpatialFockState,
     classify,
     sample_outcome,
-    two_mode_input,
 )
 from kerrbell.analyzers import _kraus_weights
 from kerrbell.cli import COMMANDS, ExperimentSpec, main, run
@@ -330,6 +329,19 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("error: density grid")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["symmetry", "demo2mode", "bell", "sweep"])
+    @pytest.mark.parametrize("as_dir", [False, True])
+    def test_exit_two_when_out_names_no_file(self, tmp_path, monkeypatch, capsys, command, as_dir):
+        # "" and a directory name no report file; nothing may be written first.
+        directory = tmp_path / "d"
+        directory.mkdir()
+        monkeypatch.chdir(tmp_path)
+        out = str(directory) if as_dir else ""
+        assert main([command, "--trials", "1", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [directory]
+        assert not any(directory.iterdir())
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_cli_defaults_are_the_spec_defaults(self, capsys, command):
         # oracle-check refuses the default alpha, so it gets one in range.
@@ -440,8 +452,10 @@ def demo_reference(text, sign, theta, alpha, trials, seed):
     counts = dict.fromkeys(targets, 0)
     sums = dict.fromkeys(targets, 0.0)
     rng = np.random.default_rng(seed)
+    # The input straight from its formula, not through the engine's two_mode_amps.
+    amps = {(1, 1): d1, (2, 0): d2 * r, (0, 2): sign * d2 * r}
+    s = SpatialFockState({occ: a for occ, a in amps.items() if a})
     for _ in range(trials):
-        s = two_mode_input(d1, d2, sign)
         x = sample_outcome(abs(s.amplitude((1, 1))) ** 2, cfg, rng)
         g_b, g_t = _kraus_weights(x, cfg)
         post = SpatialFockState.normalized(

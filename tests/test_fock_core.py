@@ -234,7 +234,7 @@ class TestStateValidation:
 
     def test_truncation_bound(self):
         with pytest.raises(TruncationOverflow):
-            SpatialFockState({(3, 0, 0, 0): 1.0}, max_total=2)
+            SpatialFockState({(3, 0, 0, 0): 1.0})
 
     def test_negative_occupation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,8 @@ policies, sweep, and oracle-check at alpha 2 and 4 (its alpha cap) at each
 pinned theta.  The input parser's edge cases come on top: symmetry and bell
 (sampled and --ideal, default policy) and demo2mode (both signs) on values
 written as repr(complex) writes them, as perfbench does, with whitespace
-around them, and subnormal or huge.  Each line is
+around them, and subnormal or huge, and demo2mode on amplitudes at the
+pruning tolerance.  Each line is
 "<sha256 of the sorted-key JSON report>  <spec>".  Two checkouts give
 byte-identical reports exactly when ``diff <(... --src A/src) <(... --src
 B/src)`` prints nothing.  --commands keeps the specs of the listed commands
@@ -53,7 +54,17 @@ EDGE_INPUTS = (
     "1e-320,-1e-320j,1e-320,0",
     "1e308,1e308j,-1e308,0",
 )
-DEMO_EDGE_INPUTS = ("(0.6+0j),0.8j", " 0.6 ,\t0.8j ", "1e-320,1e-320j", "1e308,-1e308")
+DEMO_EDGE_INPUTS = (
+    "(0.6+0j),0.8j",
+    " 0.6 ,\t0.8j ",
+    "1e-320,1e-320j",
+    "1e308,-1e308",
+    # One amplitude at or just above the pruning tolerance (1e-14): d1 = 1e-14
+    # is pruned, d1 = 1.005e-14 and d2/sqrt2 = 1.06e-14 are kept.
+    "1e-14,1",
+    "1.005e-14,1",
+    "1,1.5e-14",
+)
 
 
 def specs() -> list[dict]:
