@@ -262,6 +262,10 @@ def shot(
     P_T amps, normalized.  Otherwise one rng.standard_normal() is added to the
     sector's peak to give x (see sample_outcome), singlet means a Balanced
     classify(x), and post is K(x) amps normalized (see kraus).
+
+    bell_detect and run_symmetry_analyzer call it once per analyzer; the
+    symmetry runner's symmetry_campaign inlines it, and it is that loop's
+    bit-exact reference.
     """
     c = _singlet_amplitude(amps)
     p_s = abs(c) ** 2
@@ -273,6 +277,55 @@ def shot(
         singlet = x >= cfg.threshold
         g_s, g_t = _kraus_weights(x, cfg)
     return singlet, _project(amps, c, g_s, g_t)
+
+
+def symmetry_campaign(
+    amps: Amps,
+    cfg: AnalyzerConfig,
+    rng: np.random.Generator,
+    trials: int,
+    ideal: bool,
+) -> tuple[int, float]:
+    """(Singlet count, sum of fidelity_amps(post, amps)) over `trials` shots.
+
+    Bit for bit the loop of shot(amps, cfg, rng, ideal) followed by
+    fidelity_amps(post, amps), with the same draws: c, |c|^2, the input's
+    amplitudes and the operating point are read once, and each trial runs
+    the float operations of shot, _kraus_weights, _project and fidelity_amps
+    inline, in the same order.  A regrouped product such as
+    (g_s - g_t) * (c * _R) would change the last bits, and so the reports.
+    """
+    h0, h1, h2, h3 = amps
+    r = _R
+    c = r * h1 - r * h2
+    p_s = abs(c) ** 2
+    balanced, bunched, threshold = cfg.balanced_peak, cfg.bunched_peak, cfg.threshold
+    random, normal, exp, sqrt = rng.random, rng.standard_normal, math.exp, math.sqrt
+    n_singlet = 0
+    fid_sum = 0.0
+    for _ in range(trials):
+        if ideal:
+            singlet = random() < p_s
+            g_s, g_t = float(singlet), float(not singlet)
+        else:
+            x = (bunched if random() >= p_s else balanced) + normal()
+            singlet = x >= threshold
+            u_b = x - balanced
+            u_t = x - bunched
+            g_s = exp(-u_b * u_b / 4.0)
+            g_t = exp(-u_t * u_t / 4.0)
+        d = (g_s - g_t) * c * r
+        a0, a1, a2, a3 = g_t * h0, g_t * h1 + d, g_t * h2 - d, g_t * h3
+        norm = sqrt(abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2)
+        ov = (
+            (a0 / norm).conjugate() * h0
+            + (a1 / norm).conjugate() * h1
+            + (a2 / norm).conjugate() * h2
+        )
+        fid = abs(ov + (a3 / norm).conjugate() * h3) ** 2
+        n_singlet += singlet
+        fid_sum += fid if fid < 1.0 else 1.0  # min(1.0, fid), NaN included
+    return n_singlet, fid_sum
 
 
 def run_symmetry_analyzer(

@@ -37,7 +37,7 @@ from .analyzers import (
     check_domain,
     error_probability,
     sample_outcome,
-    shot,
+    symmetry_campaign,
     symmetry_pointer,
     two_mode_amps,
     two_mode_fidelity,
@@ -84,34 +84,53 @@ class ExperimentSpec:
 
     def validate(self) -> AnalyzerConfig:
         """Raise InvalidSpec unless every field is valid; return the spec's
-        operating point, whose construction checks the theta and alpha domain."""
+        operating point, whose construction checks the theta and alpha domain.
+
+        A numeric field given as another integer or real type, such as a
+        numpy scalar, is replaced by the plain int or float of the same value,
+        so the runners and the report's spec echo see plain numbers."""
         if self.command not in COMMANDS:
             raise InvalidSpec(f"unknown command {self.command!r}")
-        if _integer("trials", self.trials) < 1:
+        # Plain numbers, the common case, skip the numbers-ABC checks (~0.5 us each).
+        if not (
+            type(self.trials) is type(self.seed) is type(self.sign) is int
+            and type(self.theta) is type(self.alpha) is type(self.grid_step) is float
+        ):
+            self._plain_numbers()
+        if self.trials < 1:
             raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
-        if _integer("seed", self.seed) < 0:
+        if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
-        cfg = AnalyzerConfig(_real("theta", self.theta), _real("alpha", self.alpha))
-        check_domain(grid_step=_real("grid_step", self.grid_step))
+        cfg = AnalyzerConfig(self.theta, self.alpha)
+        check_domain(grid_step=self.grid_step)
         if self.sign not in (1, -1):
             raise InvalidSpec(f"sign must be +1 or -1, got {self.sign!r}")
         if self.out is not None and (not Path(self.out).name or Path(self.out).is_dir()):
             raise InvalidSpec(f"out must name a file, got {self.out!r}")
         return cfg
 
+    def _plain_numbers(self) -> None:
+        """Replace each numeric field by a plain int or float of its value, or
+        raise InvalidSpec.  A plain int stays an int in the real fields."""
+        for name in ("trials", "seed", "sign"):
+            setattr(self, name, _integer(name, getattr(self, name)))
+        for name in ("theta", "alpha", "grid_step"):
+            setattr(self, name, _real(name, getattr(self, name)))
 
-# The exact-type tests come first: isinstance on a numbers ABC costs ~0.5 us.
-def _integer(name: str, value):
-    """value, or InvalidSpec if it is not an integer."""
-    if type(value) is int or isinstance(value, Integral):
-        return value
+
+# A bool is an Integral, but True and False are flags, not counts or angles.
+def _integer(name: str, value) -> int:
+    """value as a plain int, or InvalidSpec if it is not an integer."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
     raise InvalidSpec(f"{name} must be an integer, got {value!r}")
 
 
-def _real(name: str, value):
-    """value, or InvalidSpec if it is not a real number."""
-    if type(value) is float or isinstance(value, Real):
-        return value
+def _real(name: str, value) -> float | int:
+    """value as a plain float (a plain int as given), or InvalidSpec if it is
+    not a real number."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return value if type(value) is int else float(value)
     raise InvalidSpec(f"{name} must be a real number, got {value!r}")
 
 
@@ -254,13 +273,8 @@ def _run_symmetry(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
     q = _parse_qubit_input(input_text)
     csv_path = _density_csv(lambda: symmetry_pointer(q, cfg), spec)
     rng = np.random.default_rng(spec.seed)
-    amps, ideal = q.amps, spec.ideal
-    n_singlet = 0
-    fid_sum = 0.0
-    for _ in range(spec.trials):
-        singlet, post = shot(amps, cfg, rng, ideal)
-        n_singlet += singlet
-        fid_sum += fidelity_amps(post, amps)
+    amps = q.amps
+    n_singlet, fid_sum = symmetry_campaign(amps, cfg, rng, spec.trials, spec.ideal)
     true_symmetry = _true_symmetry(amps)
     return _summarize(
         spec,

@@ -12,6 +12,7 @@ from kerrbell import (
     InvalidSpec,
     SpatialFockState,
     classify,
+    error_probability,
     sample_outcome,
 )
 from kerrbell.analyzers import _kraus_weights
@@ -77,6 +78,26 @@ class TestValidation:
     def test_numpy_scalars_accepted(self):
         spec = _spec(command="symmetry", trials=np.int64(2), seed=np.int64(1), theta=np.float64(0.3))
         assert spec.validate().theta == 0.3
+
+    def test_numpy_scalars_echo_as_plain_numbers(self, tmp_path):
+        out = tmp_path / "r.json"
+        spec = _spec(command="symmetry", trials=np.int64(3), seed=np.int64(1), out=str(out))
+        run(spec)
+        assert type(spec.trials) is int and type(spec.seed) is int
+        text = out.read_text()
+        assert '"trials": 3' in text and '"seed": 1' in text
+        assert json.loads(text)["spec"]["trials"] == 3
+        assert (tmp_path / "r_density.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", True), ("seed", False), ("theta", True), ("alpha", True),
+         ("grid_step", True), ("sign", True)],
+    )
+    def test_bool_is_an_invalid_spec(self, field, value):
+        # InvalidSpec is exit code 2 in main().
+        with pytest.raises(InvalidSpec, match=f"{field} must be"):
+            run(_spec(**{"command": "symmetry", "trials": 1, field: value}))
 
     @pytest.mark.parametrize(
         "text, match",
@@ -159,6 +180,50 @@ class TestReports:
         empirical = report["empirical_error"]["rate"]
         sigma = math.sqrt(analytic * (1.0 - analytic) / 10_000)
         assert abs(empirical - analytic) <= 3.0 * sigma
+
+
+class TestSymmetryExactValues:
+    """The symmetry runner's Singlet rate and mean post fidelity against their
+    closed forms.  With delta = 2*alpha*(1 - cos(2*theta)) the peak separation
+    and eps = error_probability(theta, alpha, "exact"), a shot reads Singlet
+    with probability p_S*(1 - eps) + p_T*eps, and the post state's mean
+    fidelity with the input is p_S^2 + p_T^2 + 2*p_S*p_T*exp(-delta^2/8); with
+    --ideal, eps = 0 and the exponential is 0.  Bound: z <= 5, with the
+    binomial variance for the rate and a per-trial variance of at most 1/4 for
+    the fidelity, which lies in [0, 1]."""
+
+    INPUT = "0.3,0.6+0.2j,-0.4j,0.5"  # p_S = 0.4
+    TRIALS = 40_000
+    Z = 5.0
+
+    @pytest.mark.parametrize(
+        "theta, alpha",
+        [(0.1, math.sqrt(1.3e4)), (0.3, 1.5 / 0.09), (math.pi / 4.0, 1e3), (0.3, 3.0)],
+    )
+    @pytest.mark.parametrize("ideal", [False, True])
+    def test_rate_and_fidelity(self, theta, alpha, ideal):
+        amps = [complex(part) for part in self.INPUT.split(",")]
+        p_s = abs(amps[1] - amps[2]) ** 2 / 2.0 / sum(abs(a) ** 2 for a in amps)
+        p_t = 1.0 - p_s
+        if ideal:
+            eps = overlap = 0.0
+        else:
+            delta = 2.0 * alpha * (1.0 - math.cos(2.0 * theta))
+            eps = error_probability(theta, alpha, "exact")
+            overlap = math.exp(-delta * delta / 8.0)
+        rate = p_s * (1.0 - eps) + p_t * eps
+        fidelity = p_s**2 + p_t**2 + 2.0 * p_s * p_t * overlap
+        report = run(
+            _spec(command="symmetry", theta=theta, alpha=alpha, input=self.INPUT,
+                  trials=self.TRIALS, seed=11, ideal=ideal)
+        )
+        n = self.TRIALS
+        assert abs(report["rates"]["Singlet"]["rate"] - rate) <= self.Z * math.sqrt(
+            rate * (1.0 - rate) / n
+        )
+        assert abs(report["mean_post_fidelity_vs_input"] - fidelity) <= self.Z * math.sqrt(
+            0.25 / n
+        )
 
 
 class TestFilesAndDeterminism:

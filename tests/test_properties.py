@@ -37,7 +37,8 @@ from kerrbell import (
     symmetry_pointer,
 )
 from kerrbell import bell_detector
-from kerrbell.analyzers import _kraus_weights, _project, _singlet_amplitude
+from kerrbell.analyzers import _kraus_weights, _project, _singlet_amplitude, symmetry_campaign
+from kerrbell.fock_core import fidelity_amps
 from kerrbell.cli import main
 from conftest import random_state, random_triplet
 
@@ -129,6 +130,32 @@ def test_shot_is_the_composition_bit_for_bit(theta, alpha, seed, ideal):
     assert singlet == want
     assert post == _project(amps, c, *weights)
     assert abs(sum(abs(a) ** 2 for a in post) - 1.0) <= 1e-12
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    theta=st.floats(min_value=0.0, max_value=math.pi / 4.0, exclude_min=True),
+    alpha=st.floats(min_value=0.0, max_value=1e3),
+    seed=seeds,
+    label=st.sampled_from([None, *BellLabel]),
+    trials=st.sampled_from((1, 2, 50)),
+    ideal=st.booleans(),
+)
+def test_symmetry_campaign_is_the_shot_loop_bit_for_bit(theta, alpha, seed, label, trials, ideal):
+    cfg = AnalyzerConfig(theta=theta, alpha=alpha)
+    q = random_state(np.random.default_rng(seed)) if label is None else bell_state(label)
+    amps = q.amps
+    rng = np.random.default_rng(seed + 1)
+    ref = copy.deepcopy(rng)
+    n_singlet, fid_sum = symmetry_campaign(amps, cfg, rng, trials, ideal)
+    want_singlet, want_sum = 0, 0.0
+    for _ in range(trials):
+        singlet, post = shot(amps, cfg, ref, ideal)
+        want_singlet += singlet
+        want_sum += fidelity_amps(post, amps)
+    assert n_singlet == want_singlet
+    assert fid_sum.hex() == want_sum.hex()
     assert rng.bit_generator.state == ref.bit_generator.state
 
 

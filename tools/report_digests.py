@@ -13,7 +13,9 @@ pinned theta.  The input parser's edge cases come on top: symmetry and bell
 (sampled and --ideal, default policy) and demo2mode (both signs) on values
 written as repr(complex) writes them, as perfbench does, with whitespace
 around them, and subnormal or huge, and demo2mode on amplitudes at the
-pruning tolerance.  Each line is
+pruning tolerance.  Symmetry also runs at the benchmark's campaign sizes, 1
+and 50 trials, sampled and --ideal, on a repr(complex) input and on
+PsiMinus.  Each line is
 "<sha256 of the sorted-key JSON report>  <spec>".  Two checkouts give
 byte-identical reports exactly when ``diff <(... --src A/src) <(... --src
 B/src)`` prints nothing.  --commands keeps the specs of the listed commands
@@ -65,6 +67,10 @@ DEMO_EDGE_INPUTS = (
     "1.005e-14,1",
     "1,1.5e-14",
 )
+# perfbench's symmetry campaign sizes (wide_grid runs 1 trial, paper_symmetry
+# 50) on a perfbench-style repr(complex) input and a Bell label.
+BENCH_TRIALS = (1, 50)
+BENCH_INPUTS = (EDGE_INPUTS[1], "PsiMinus")
 
 
 def specs() -> list[dict]:
@@ -92,6 +98,11 @@ def specs() -> list[dict]:
                     out.append(dict(base, command="symmetry", input=text, ideal=ideal))
                     out.append(dict(base, command="bell", input=text, early_exit=True,
                                     omit_final=False, ideal=ideal))
+            for trials in BENCH_TRIALS:
+                for text in BENCH_INPUTS:
+                    for ideal in (False, True):
+                        out.append(dict(base, command="symmetry", input=text, ideal=ideal,
+                                        trials=trials))
             out.append(dict(base, command="sweep"))
             for alpha in (2.0, 4.0):
                 out.append(dict(base, command="oracle-check", alpha=alpha, trials=1))
