@@ -15,7 +15,9 @@ written as repr(complex) writes them, as perfbench does, with whitespace
 around them, and subnormal or huge, and demo2mode on amplitudes at the
 pruning tolerance.  Symmetry also runs at the benchmark's campaign sizes, 1
 and 50 trials, sampled and --ideal, on a repr(complex) input and on
-PsiMinus.  Each line is
+PsiMinus, and bell at its sizes, on all four Bell inputs, sampled and
+--ideal: 6 trials with early exit, and 5 trials with --no-early-exit
+--omit-final.  Each line is
 "<sha256 of the sorted-key JSON report>  <spec>".  Two checkouts give
 byte-identical reports exactly when ``diff <(... --src A/src) <(... --src
 B/src)`` prints nothing.  --commands keeps the specs of the listed commands
@@ -71,6 +73,8 @@ DEMO_EDGE_INPUTS = (
 # 50) on a perfbench-style repr(complex) input and a Bell label.
 BENCH_TRIALS = (1, 50)
 BENCH_INPUTS = (EDGE_INPUTS[1], "PsiMinus")
+# perfbench's bell campaigns on the default input: (trials, early_exit, omit_final).
+BENCH_BELL = ((6, True, False), (5, False, True))
 
 
 def specs() -> list[dict]:
@@ -103,6 +107,10 @@ def specs() -> list[dict]:
                     for ideal in (False, True):
                         out.append(dict(base, command="symmetry", input=text, ideal=ideal,
                                         trials=trials))
+            for trials, early_exit, omit_final in BENCH_BELL:
+                for ideal in (False, True):
+                    out.append(dict(base, command="bell", input=None, early_exit=early_exit,
+                                    omit_final=omit_final, ideal=ideal, trials=trials))
             out.append(dict(base, command="sweep"))
             for alpha in (2.0, 4.0):
                 out.append(dict(base, command="oracle-check", alpha=alpha, trials=1))
