@@ -263,9 +263,9 @@ def shot(
     sector's peak to give x (see sample_outcome), singlet means a Balanced
     classify(x), and post is K(x) amps normalized (see kraus).
 
-    bell_detect and run_symmetry_analyzer call it once per analyzer; the
-    symmetry runner's symmetry_campaign inlines it, and it is that loop's
-    bit-exact reference.
+    run_symmetry_analyzer calls it once; symmetry_campaign and
+    bell_detector.bell_detect inline it, and it is the bit-exact reference
+    of both loops.
     """
     c = _singlet_amplitude(amps)
     p_s = abs(c) ** 2

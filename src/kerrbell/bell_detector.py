@@ -8,13 +8,14 @@ sequence restore the identified state at the output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotABellState
 from .fock_core import PAULI_MAPS, BellLabel, TwoQubitState, apply_pauli, bell_state, fidelity
-from .analyzers import AnalyzerConfig, Symmetry, shot
+from .analyzers import _R, AnalyzerConfig, Symmetry
 
 # Pauli applied (to qubit 2) before analyzer k = 2, 3, 4.
 _PRE_PAULIS: tuple[tuple[str, int] | None, ...] = (None, ("X", 2), ("Z", 2), ("X", 2))
@@ -69,17 +70,38 @@ def bell_detect(
     the run stops at the first Singlet and the identified Bell state is
     rebuilt by undoing the Paulis applied so far (each its own inverse).
 
-    The analyzers and the Paulis between them run on the amplitude tuple,
-    one shot per analyzer; the restoring Paulis act on the validated post
-    state through apply_pauli.
+    The analyzers and the Paulis between them run inline on four local
+    amplitudes: the operating point and the generator's methods are read once
+    per call, and each analyzer runs the float operations of shot, with the
+    same draws, in the same order, so the loop of shot over the amplitude
+    tuple is its bit-exact reference.  The restoring Paulis act on the
+    validated post state through apply_pauli.
     """
-    amps = q.amps
+    balanced, bunched, threshold = cfg.balanced_peak, cfg.bunched_peak, cfg.threshold
+    random, normal, exp, sqrt = rng.random, rng.standard_normal, math.exp, math.sqrt
+    r = _R
+    h0, h1, h2, h3 = q.amps
     steps = []
     first = None
     for k in range(3 if policy.omit_final else 4):
         if k:
-            amps = _PRE_MAPS[k](amps)
-        singlet, amps = shot(amps, cfg, rng, ideal)
+            h0, h1, h2, h3 = _PRE_MAPS[k]((h0, h1, h2, h3))
+        c = r * h1 - r * h2
+        p_s = abs(c) ** 2
+        if ideal:
+            singlet = random() < p_s
+            g_s, g_t = float(singlet), float(not singlet)
+        else:
+            x = (bunched if random() >= p_s else balanced) + normal()
+            singlet = x >= threshold
+            u_b = x - balanced
+            u_t = x - bunched
+            g_s = exp(-u_b * u_b / 4.0)
+            g_t = exp(-u_t * u_t / 4.0)
+        d = (g_s - g_t) * c * r
+        a0, a1, a2, a3 = g_t * h0, g_t * h1 + d, g_t * h2 - d, g_t * h3
+        norm = sqrt(abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2)
+        h0, h1, h2, h3 = a0 / norm, a1 / norm, a2 / norm, a3 / norm
         steps.append(_STEPS[k][singlet])
         if singlet and first is None:
             first = k
@@ -88,7 +110,7 @@ def bell_detect(
                 break
     else:
         restore = _CLOSE_Y2 if policy.omit_final else _CLOSE_Z2
-    state = TwoQubitState(amps)
+    state = TwoQubitState((h0, h1, h2, h3))
     for op, qubit in restore:
         state = apply_pauli(state, qubit, op)
     label = _LABEL_BY_POSITION[3 if first is None else first]
@@ -98,7 +120,8 @@ def bell_detect(
 def ideal_label(q: TwoQubitState) -> BellLabel:
     """Which Bell state q is, global phase ignored; NotABellState if none.
 
-    The bell runner uses it to find each input's true label.
+    The bell runner uses it to find an amplitude input's true label; a named
+    input's label comes from a table.
     """
     for label in BellLabel:
         if fidelity(q, bell_state(label)) >= 1.0 - 1e-9:

@@ -48,6 +48,7 @@ from .bell_detector import DetectionPolicy, bell_detect, ideal_label
 from .oracle import OracleConfig, full_fock_reference
 
 _BELL_INPUTS = {label.value: bell_state(label) for label in BellLabel}
+_BELL_LABELS = {label.value: label for label in BellLabel}  # a named input's true label
 _DEFAULT_INPUT = BellLabel.PSI_MINUS.value  # of the symmetry runner
 _DEMO_INPUT = (complex(1.0 / math.sqrt(2.0)),) * 2  # d1 = d2 = 1/sqrt2, of demo2mode
 _PSI_MINUS = _BELL_INPUTS[_DEFAULT_INPUT]
@@ -88,15 +89,17 @@ class ExperimentSpec:
 
         A numeric field given as another integer or real type, such as a
         numpy scalar, is replaced by the plain int or float of the same value,
-        so the runners and the report's spec echo see plain numbers."""
+        and a flag given as a numpy bool by the plain bool, so the runners and
+        the report's spec echo see plain values."""
         if self.command not in COMMANDS:
             raise InvalidSpec(f"unknown command {self.command!r}")
-        # Plain numbers, the common case, skip the numbers-ABC checks (~0.5 us each).
+        # Plain values, the common case, skip the numbers-ABC checks (~0.5 us each).
         if not (
             type(self.trials) is type(self.seed) is type(self.sign) is int
             and type(self.theta) is type(self.alpha) is type(self.grid_step) is float
+            and type(self.early_exit) is type(self.omit_final) is type(self.ideal) is bool
         ):
-            self._plain_numbers()
+            self._plain_values()
         if self.trials < 1:
             raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -109,13 +112,16 @@ class ExperimentSpec:
             raise InvalidSpec(f"out must name a file, got {self.out!r}")
         return cfg
 
-    def _plain_numbers(self) -> None:
-        """Replace each numeric field by a plain int or float of its value, or
-        raise InvalidSpec.  A plain int stays an int in the real fields."""
+    def _plain_values(self) -> None:
+        """Replace each numeric field by a plain int or float of its value and
+        each flag by a plain bool, or raise InvalidSpec.  A plain int stays an
+        int in the real fields."""
         for name in ("trials", "seed", "sign"):
             setattr(self, name, _integer(name, getattr(self, name)))
         for name in ("theta", "alpha", "grid_step"):
             setattr(self, name, _real(name, getattr(self, name)))
+        for name in ("early_exit", "omit_final", "ideal"):
+            setattr(self, name, _flag(name, getattr(self, name)))
 
 
 # A bool is an Integral, but True and False are flags, not counts or angles.
@@ -132,6 +138,13 @@ def _real(name: str, value) -> float | int:
     if isinstance(value, Real) and not isinstance(value, bool):
         return value if type(value) is int else float(value)
     raise InvalidSpec(f"{name} must be a real number, got {value!r}")
+
+
+def _flag(name: str, value) -> bool:
+    """value as a plain bool, or InvalidSpec if it is not a bool or numpy bool."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise InvalidSpec(f"{name} must be a bool, got {value!r}")
 
 
 def _analytic_errors(theta: float, alpha: float) -> dict:
@@ -296,11 +309,13 @@ def _run_bell(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
     ideal = spec.ideal
     rows = []
     for q, name in inputs:
-        try:
-            true_label = ideal_label(q)
-        except KerrBellError:
-            true_label = None
-        else:
+        true_label = _BELL_LABELS.get(name)
+        if true_label is None:  # amplitudes: find which Bell state, if any, they are
+            try:
+                true_label = ideal_label(q)
+            except KerrBellError:
+                pass
+        if true_label is not None:
             target = bell_state(true_label).amps
         counts = {label: 0 for label in _BELL_INPUTS}  # by label value, in report order
         analyzer_total = 0

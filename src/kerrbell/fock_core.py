@@ -45,9 +45,18 @@ class TwoQubitState:
     amps: tuple[complex, complex, complex, complex]
 
     def __post_init__(self) -> None:
-        amps = tuple(map(complex, self.amps))
-        if len(amps) != 4:
-            raise ValueError("a two-qubit state needs exactly 4 amplitudes")
+        amps = self.amps
+        # A 4-tuple of plain complex, what the engine builds, is kept as it
+        # is; anything else is copied through complex() first.
+        if not (
+            type(amps) is tuple
+            and len(amps) == 4
+            and type(amps[0]) is type(amps[1]) is type(amps[2]) is type(amps[3]) is complex
+        ):
+            amps = tuple(map(complex, amps))
+            if len(amps) != 4:
+                raise ValueError("a two-qubit state needs exactly 4 amplitudes")
+            object.__setattr__(self, "amps", amps)
         a0, a1, a2, a3 = amps
         nsq = abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2
         if not abs(nsq - 1.0) <= NORM_TOL:  # also rejects a NaN norm
@@ -55,7 +64,6 @@ class TwoQubitState:
                 f"amplitudes are not normalized (|.|^2 = {nsq!r}); "
                 "use TwoQubitState.normalized"
             )
-        object.__setattr__(self, "amps", amps)
 
     @classmethod
     def normalized(cls, amps: Iterable[complex]) -> "TwoQubitState":

@@ -162,6 +162,16 @@ class TestIdealLabel:
             ideal_label(q)
 
 
+# The paper's point, the threshold point, the grid-stress point, and a probe
+# weak enough (alpha*theta^2 = 0.45) that the soft projection errs often.  The
+# reference-chain tests loop over them, which keeps their test ids.
+POINTS = [
+    AnalyzerConfig(theta=0.1, alpha=math.sqrt(1.3e4)),
+    AnalyzerConfig(theta=0.3, alpha=1.5 / 0.09),
+    AnalyzerConfig(theta=math.pi / 4.0, alpha=1e3),
+    AnalyzerConfig(theta=0.3, alpha=5.0),
+]
+
 # The label a first Singlet at analyzer 1, 2, 3, 4 names; no Singlet names PsiPlus.
 _LABEL_AT = [BellLabel.PSI_MINUS, BellLabel.PHI_MINUS, BellLabel.PHI_PLUS, BellLabel.PSI_PLUS]
 
@@ -205,40 +215,41 @@ def reference_detect(q, cfg, policy, rng, ideal=False):
 @pytest.mark.parametrize("early_exit", [True, False])
 @pytest.mark.parametrize("omit_final", [True, False])
 def test_matches_reference_chain_on_non_bell_input(early_exit, omit_final):
-    cfg = AnalyzerConfig(theta=0.3, alpha=5.0)
     policy = DetectionPolicy(early_exit=early_exit, omit_final=omit_final)
-    inputs = np.random.default_rng(7)
-    rng = np.random.default_rng(11)
-    ref = np.random.default_rng(11)
-    for _ in range(50):
-        q = random_state(inputs)
-        trace = bell_detect(q, cfg, policy, rng)
-        steps, label, post = reference_detect(q, cfg, policy, ref)
-        assert list(trace.steps) == steps
-        assert trace.label == label
-        assert trace.analyzer_count == len(steps)
-        assert 1.0 - fidelity(trace.post_state, post) <= 1e-12
-        assert trace.post_state.amps == post.amps  # the same operations, in order
+    for cfg in POINTS:
+        inputs = np.random.default_rng(7)
+        rng = np.random.default_rng(11)
+        ref = np.random.default_rng(11)
+        for _ in range(50):
+            q = random_state(inputs)
+            trace = bell_detect(q, cfg, policy, rng)
+            steps, label, post = reference_detect(q, cfg, policy, ref)
+            assert list(trace.steps) == steps
+            assert trace.label == label
+            assert trace.analyzer_count == len(steps)
+            assert 1.0 - fidelity(trace.post_state, post) <= 1e-12
+            assert trace.post_state.amps == post.amps  # the same operations, in order
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("ideal", [False, True])
 @pytest.mark.parametrize("policy", ALL_POLICIES)
 def test_matches_reference_chain_on_bell_and_mixed_inputs(policy, ideal):
-    cfg = AnalyzerConfig(theta=0.3, alpha=5.0)
     inputs = [bell_state(label) for label in BellLabel]
     inputs += [random_state(np.random.default_rng(seed)) for seed in range(4)]
-    rng = np.random.default_rng(23)
-    ref = np.random.default_rng(23)
-    for q in inputs:
-        for _ in range(25):
-            trace = bell_detect(q, cfg, policy, rng, ideal)
-            steps, label, post = reference_detect(q, cfg, policy, ref, ideal)
-            assert list(trace.steps) == steps
-            assert trace.label == label
-            assert trace.analyzer_count == len(steps)
-            if ideal:  # the reference projects with other arithmetic
-                assert 1.0 - fidelity(trace.post_state, post) <= 1e-12
-            else:
-                assert trace.post_state.amps == post.amps
-            assert abs(sum(abs(a) ** 2 for a in trace.post_state.amps) - 1.0) <= 1e-12
-    assert rng.bit_generator.state == ref.bit_generator.state
+    for cfg in POINTS:
+        rng = np.random.default_rng(23)
+        ref = np.random.default_rng(23)
+        for q in inputs:
+            for _ in range(25):
+                trace = bell_detect(q, cfg, policy, rng, ideal)
+                steps, label, post = reference_detect(q, cfg, policy, ref, ideal)
+                assert list(trace.steps) == steps
+                assert trace.label == label
+                assert trace.analyzer_count == len(steps)
+                if ideal:  # the reference projects with other arithmetic
+                    assert 1.0 - fidelity(trace.post_state, post) <= 1e-12
+                else:
+                    assert trace.post_state.amps == post.amps
+                assert abs(sum(abs(a) ** 2 for a in trace.post_state.amps) - 1.0) <= 1e-12
+        assert rng.bit_generator.state == ref.bit_generator.state

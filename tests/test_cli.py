@@ -99,6 +99,29 @@ class TestValidation:
         with pytest.raises(InvalidSpec, match=f"{field} must be"):
             run(_spec(**{"command": "symmetry", "trials": 1, field: value}))
 
+    # A truthy string such as "no" must not run an ideal campaign, and an int
+    # is a count, not a flag.
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    @pytest.mark.parametrize("flag", ["ideal", "early_exit", "omit_final"])
+    def test_non_bool_flag_is_an_invalid_spec(self, flag, value):
+        with pytest.raises(InvalidSpec, match=f"{flag} must be a bool"):
+            run(_spec(**{"command": "bell", "trials": 1, flag: value}))
+
+    @pytest.mark.parametrize("value", [np.False_, np.True_])
+    def test_numpy_bool_flags_echo_as_plain_bools(self, tmp_path, value):
+        flags = dict(early_exit=value, omit_final=value, ideal=value)
+        out = tmp_path / "r.json"
+        spec = _spec(command="bell", trials=3, seed=1, out=str(out), **flags)
+        report = run(spec)
+        assert all(type(getattr(spec, name)) is bool for name in flags)
+        text = out.read_text()
+        for name in flags:
+            assert f'"{name}": {"true" if value else "false"}' in text
+        plain_flags = {name: bool(v) for name, v in flags.items()}
+        plain = run(_spec(command="bell", trials=3, seed=1, **plain_flags))
+        report["spec"]["out"] = None
+        assert json.dumps(report, sort_keys=True) == json.dumps(plain, sort_keys=True)
+
     @pytest.mark.parametrize(
         "text, match",
         [

@@ -217,10 +217,36 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             SpatialFockState({(1, 0, 0, 1): 0.5})
 
-    def test_nan_amplitude_rejected(self):
-        # abs(nan - 1) > tol is False, so a plain tolerance test lets NaN through.
-        with pytest.raises(ValueError, match="not normalized"):
-            TwoQubitState((math.nan, 0, 0, 0))
+    # A 4-tuple of plain complex is kept as given; every other input is copied
+    # through complex().  Either way the checks and the stored type are the same.
+    @pytest.mark.parametrize(
+        "amps, error",
+        [
+            pytest.param((0j, complex(R), complex(-R), 0j), None, id="plain-tuple"),
+            pytest.param([0, R, -R, 0], None, id="list"),
+            pytest.param(np.array([0, R, -R, 0], dtype=complex), None, id="ndarray"),
+            pytest.param(tuple(np.complex128(a) for a in (0, R, -R, 0)), None, id="complex128"),
+            pytest.param((1, 0, 0, 0), None, id="int-parts"),
+            pytest.param((0.6, 0.8, 0.0, 0.0), None, id="float-parts"),
+            pytest.param(("0.6", " 0.8j", "(0+0j)", "-0"), None, id="strings"),
+            pytest.param((1j, 0, 0), "exactly 4 amplitudes", id="three"),
+            pytest.param((1j, 0j, 0j, 0j, 0j), "exactly 4 amplitudes", id="five"),
+            # abs(nan - 1) > tol is False, so a plain tolerance test lets NaN through.
+            pytest.param((math.nan, 0, 0, 0), "not normalized", id="nan-part"),
+            pytest.param((complex(math.nan), 0j, 0j, 0j), "not normalized", id="plain-nan"),
+            pytest.param((1 + 0j, 1 + 0j, 0j, 0j), "not normalized", id="unnormalized"),
+            pytest.param(("1", "x", "0", "0"), "complex", id="bad-string"),
+        ],
+    )
+    def test_constructor_contract(self, amps, error):
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                TwoQubitState(amps)
+            return
+        q = TwoQubitState(amps)
+        assert type(q.amps) is tuple
+        assert all(type(a) is complex for a in q.amps)
+        assert q.amps == tuple(complex(a) for a in amps)
 
     @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf])
     def test_non_finite_fock_amplitude_rejected(self, bad):

@@ -5,7 +5,6 @@ import contextlib
 import copy
 import io
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,9 +35,8 @@ from kerrbell import (
     shot,
     symmetry_pointer,
 )
-from kerrbell import bell_detector
 from kerrbell.analyzers import _kraus_weights, _project, _singlet_amplitude, symmetry_campaign
-from kerrbell.fock_core import fidelity_amps
+from kerrbell.fock_core import fidelity_amps, pauli_amps
 from kerrbell.cli import main
 from conftest import random_state, random_triplet
 
@@ -188,6 +186,8 @@ def test_sector_eigenstate_is_undisturbed(theta, alpha, seed, singlet, ideal):
 # u lies that close to |c|^2 is skipped and counted.
 TIE_ULPS = 16
 DRAWS = 4  # seeded draws per example
+# The Pauli (op, qubit) that bell_detect applies before each analyzer.
+BELL_CHAIN = (None, ("X", 2), ("Z", 2), ("X", 2))
 
 
 def haar_unitary(rng):
@@ -245,25 +245,33 @@ def test_bell_detect_ignores_a_pauli_on_both_qubits(
     q = random_state(rng) if bell is None else bell_state(bell)
     moved = apply_pauli(apply_pauli(q, 1, sigma), 2, sigma)
     policy = DetectionPolicy(early_exit=early_exit, omit_final=omit_final)
-    gaps = []
 
-    def recording_shot(amps, cfg, rng, ideal=False):
-        gaps.append(near_tie(copy.deepcopy(rng).random(), amps))
-        return shot(amps, cfg, rng, ideal)
+    def near_tie_in_chain(amps, rng):
+        # bell_detect's analyzer chain replayed with shot on a copy of rng:
+        # does any analyzer's uniform draw lie within TIE_ULPS of its |c|^2?
+        rng = copy.deepcopy(rng)
+        for pauli in BELL_CHAIN[: 3 if omit_final else 4]:
+            if pauli is not None:
+                amps = pauli_amps(amps, pauli[1], pauli[0])
+            if near_tie(copy.deepcopy(rng).random(), amps):
+                return True
+            singlet, amps = shot(amps, cfg, rng, ideal)
+            if singlet and early_exit:
+                return False
+        return False
 
     skipped = 0
-    with mock.patch.object(bell_detector, "shot", recording_shot):
-        for draw_seed in range(seed, seed + DRAWS):
-            gaps.clear()
-            trace = bell_detect(q, cfg, policy, np.random.default_rng(draw_seed), ideal)
-            trace_moved = bell_detect(moved, cfg, policy, np.random.default_rng(draw_seed), ideal)
-            if any(gaps):
-                skipped += 1
-                continue
-            assert trace_moved.label is trace.label
-            assert trace_moved.analyzer_count == trace.analyzer_count
-            want = apply_pauli(apply_pauli(trace.post_state, 1, sigma), 2, sigma)
-            assert fidelity(trace_moved.post_state, want) >= 1.0 - 1e-12
+    for draw_seed in range(seed, seed + DRAWS):
+        rng, rng_moved = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+        if near_tie_in_chain(q.amps, rng) or near_tie_in_chain(moved.amps, rng_moved):
+            skipped += 1
+            continue
+        trace = bell_detect(q, cfg, policy, rng, ideal)
+        trace_moved = bell_detect(moved, cfg, policy, rng_moved, ideal)
+        assert trace_moved.label is trace.label
+        assert trace_moved.analyzer_count == trace.analyzer_count
+        want = apply_pauli(apply_pauli(trace.post_state, 1, sigma), 2, sigma)
+        assert fidelity(trace_moved.post_state, want) >= 1.0 - 1e-12
     event(f"near-tie draws skipped: {skipped} of {DRAWS}")
     assert skipped < DRAWS
 
