@@ -15,13 +15,11 @@ import numpy as np
 
 from .errors import NotABellState
 from .fock_core import PAULI_MAPS, BellLabel, TwoQubitState, apply_pauli, bell_state, fidelity
-from .analyzers import _R, AnalyzerConfig, Symmetry
+from .analyzers import _R, AnalyzerConfig
 
 # Pauli applied (to qubit 2) before analyzer k = 2, 3, 4.
 _PRE_PAULIS: tuple[tuple[str, int] | None, ...] = (None, ("X", 2), ("Z", 2), ("X", 2))
 _PRE_MAPS = tuple(PAULI_MAPS[p] if p else None for p in _PRE_PAULIS)
-# The step analyzer k records for a Triplet (index 0) or a Singlet (index 1).
-_STEPS = tuple(((p, Symmetry.TRIPLET), (p, Symmetry.SINGLET)) for p in _PRE_PAULIS)
 # Paulis that restore the identified state, in order.  An early exit after
 # analyzer k undoes the Paulis applied so far, last first (each is its own
 # inverse); a full run ends with the closing Z2, or Y2 with omit_final.
@@ -46,9 +44,8 @@ class DetectionPolicy:
 
 @dataclass(frozen=True)
 class DetectionTrace:
-    """steps: one (Pauli applied before it, outcome) pair per analyzer run."""
+    """The identified label, the restored post state and how many analyzers ran."""
 
-    steps: tuple[tuple[tuple[str, int] | None, Symmetry], ...]
     label: BellLabel
     post_state: TwoQubitState
     analyzer_count: int
@@ -75,13 +72,12 @@ def bell_detect(
     per call, and each analyzer runs the float operations of shot, with the
     same draws, in the same order, so the loop of shot over the amplitude
     tuple is its bit-exact reference.  The restoring Paulis act on the
-    validated post state through apply_pauli.
+    validated post state, which the trace holds with the label and the count.
     """
     balanced, bunched, threshold = cfg.balanced_peak, cfg.bunched_peak, cfg.threshold
     random, normal, exp, sqrt = rng.random, rng.standard_normal, math.exp, math.sqrt
     r = _R
     h0, h1, h2, h3 = q.amps
-    steps = []
     first = None
     for k in range(3 if policy.omit_final else 4):
         if k:
@@ -102,7 +98,6 @@ def bell_detect(
         a0, a1, a2, a3 = g_t * h0, g_t * h1 + d, g_t * h2 - d, g_t * h3
         norm = sqrt(abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2)
         h0, h1, h2, h3 = a0 / norm, a1 / norm, a2 / norm, a3 / norm
-        steps.append(_STEPS[k][singlet])
         if singlet and first is None:
             first = k
             if policy.early_exit:
@@ -114,7 +109,7 @@ def bell_detect(
     for op, qubit in restore:
         state = apply_pauli(state, qubit, op)
     label = _LABEL_BY_POSITION[3 if first is None else first]
-    return DetectionTrace(tuple(steps), label, state, len(steps))
+    return DetectionTrace(label, state, k + 1)
 
 
 def ideal_label(q: TwoQubitState) -> BellLabel:

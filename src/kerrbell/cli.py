@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -47,11 +48,10 @@ from .analyzers import (
 from .bell_detector import DetectionPolicy, bell_detect, ideal_label
 from .oracle import OracleConfig, full_fock_reference
 
-_BELL_INPUTS = {label.value: bell_state(label) for label in BellLabel}
-_BELL_LABELS = {label.value: label for label in BellLabel}  # a named input's true label
+_BELL_INPUTS = {label.value: (label, bell_state(label)) for label in BellLabel}  # named inputs
 _DEFAULT_INPUT = BellLabel.PSI_MINUS.value  # of the symmetry runner
 _DEMO_INPUT = (complex(1.0 / math.sqrt(2.0)),) * 2  # d1 = d2 = 1/sqrt2, of demo2mode
-_PSI_MINUS = _BELL_INPUTS[_DEFAULT_INPUT]
+_PSI_MINUS = bell_state(BellLabel.PSI_MINUS)
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # demo2mode's conditional targets by sign: |1,1> and (|2,0> + sign*|0,2>)/sqrt2.
 _DEMO_TARGETS = {s: (two_mode_amps(1, 0, s), two_mode_amps(0, 1, s)) for s in (1, -1)}
@@ -87,10 +87,10 @@ class ExperimentSpec:
         """Raise InvalidSpec unless every field is valid; return the spec's
         operating point, whose construction checks the theta and alpha domain.
 
-        A numeric field given as another integer or real type, such as a
-        numpy scalar, is replaced by the plain int or float of the same value,
-        and a flag given as a numpy bool by the plain bool, so the runners and
-        the report's spec echo see plain values."""
+        A numeric field given as a numpy scalar or another number type becomes
+        the plain int or float of its value, a numpy bool flag a plain bool and
+        an os.PathLike out its path string, so the runners and the report's
+        spec echo see plain values."""
         if self.command not in COMMANDS:
             raise InvalidSpec(f"unknown command {self.command!r}")
         # Plain values, the common case, skip the numbers-ABC checks (~0.5 us each).
@@ -98,6 +98,9 @@ class ExperimentSpec:
             type(self.trials) is type(self.seed) is type(self.sign) is int
             and type(self.theta) is type(self.alpha) is type(self.grid_step) is float
             and type(self.early_exit) is type(self.omit_final) is type(self.ideal) is bool
+            and type(self.targets) is str
+            and (self.input is None or type(self.input) is str)
+            and (self.out is None or type(self.out) is str)
         ):
             self._plain_values()
         if self.trials < 1:
@@ -113,15 +116,19 @@ class ExperimentSpec:
         return cfg
 
     def _plain_values(self) -> None:
-        """Replace each numeric field by a plain int or float of its value and
-        each flag by a plain bool, or raise InvalidSpec.  A plain int stays an
-        int in the real fields."""
+        """Make each numeric field a plain int or float, each flag a plain bool
+        and each text field a plain str or allowed None, or raise InvalidSpec.
+        A plain int stays an int in the real fields."""
         for name in ("trials", "seed", "sign"):
             setattr(self, name, _integer(name, getattr(self, name)))
         for name in ("theta", "alpha", "grid_step"):
             setattr(self, name, _real(name, getattr(self, name)))
         for name in ("early_exit", "omit_final", "ideal"):
             setattr(self, name, _flag(name, getattr(self, name)))
+        if isinstance(self.out, os.PathLike):
+            self.out = os.fspath(self.out)
+        for name, optional in (("input", True), ("targets", False), ("out", True)):
+            setattr(self, name, _text(name, getattr(self, name), optional))
 
 
 # A bool is an Integral, but True and False are flags, not counts or angles.
@@ -147,6 +154,13 @@ def _flag(name: str, value) -> bool:
     raise InvalidSpec(f"{name} must be a bool, got {value!r}")
 
 
+def _text(name: str, value, optional: bool) -> str | None:
+    """value as a plain str, None as given where optional, or InvalidSpec."""
+    if isinstance(value, str) or (value is None and optional):
+        return None if value is None else str(value)
+    raise InvalidSpec(f"{name} must be a str{' or None' if optional else ''}, got {value!r}")
+
+
 def _analytic_errors(theta: float, alpha: float) -> dict:
     return {
         "small_angle": error_probability(theta, alpha, "small-angle"),
@@ -154,30 +168,26 @@ def _analytic_errors(theta: float, alpha: float) -> dict:
     }
 
 
-def _parse_amps(text: str, expected: int, what: str, normalize=normalized_amps):
-    """normalize(parts) of `expected` comma-separated complex values.
-
-    normalize runs normalized_amps, whose one pass converts each part with
-    complex() (which skips surrounding whitespace and takes the parenthesized
-    form repr(complex) writes) and rejects a malformed part, a zero vector or
-    a non-finite value with ValueError.
-    """
+def _parse_amps(text: str, expected: int, what: str) -> Amps:
+    """normalized_amps(parts) of `expected` comma-separated complex values:
+    each part goes through complex(), which skips surrounding whitespace and
+    takes the parenthesized form repr(complex) writes."""
     parts = text.split(",")
     if len(parts) != expected:
         raise InvalidSpec(f"{what} needs {expected} comma-separated values, got {text!r}")
     try:
-        return normalize(parts)
+        return normalized_amps(parts)
     except ValueError as exc:
         raise InvalidSpec(f"cannot read {what} {text!r}: {exc}") from exc
 
 
-def _parse_qubit_input(text: str) -> TwoQubitState:
-    """A Bell label's prebuilt state, or four comma-separated complex amplitudes
-    (HH,HV,VH,VV) normalized into a TwoQubitState, which checks their norm."""
-    state = _BELL_INPUTS.get(text)
-    if state is None:
-        state = _parse_amps(text, 4, "input state", TwoQubitState.normalized)
-    return state
+def _parse_qubit_input(text: str) -> tuple[BellLabel | None, TwoQubitState]:
+    """A Bell label's (label, prebuilt state) from the named-input table, or
+    (None, the normalized state of four complex amplitudes HH,HV,VH,VV)."""
+    named = _BELL_INPUTS.get(text)
+    if named is None:
+        named = None, TwoQubitState(_parse_amps(text, 4, "input state"))
+    return named
 
 
 def _rate_ci(successes: int, trials: int) -> dict:
@@ -283,7 +293,7 @@ def _true_symmetry(amps: Amps) -> str | None:
 
 def _run_symmetry(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
     input_text = _DEFAULT_INPUT if spec.input is None else spec.input
-    q = _parse_qubit_input(input_text)
+    _, q = _parse_qubit_input(input_text)
     csv_path = _density_csv(lambda: symmetry_pointer(q, cfg), spec)
     rng = np.random.default_rng(spec.seed)
     amps = q.amps
@@ -304,12 +314,11 @@ def _run_symmetry(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
 def _run_bell(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
     policy = DetectionPolicy(early_exit=spec.early_exit, omit_final=spec.omit_final)
     names = _BELL_INPUTS if spec.input is None else (spec.input,)  # default: every label
-    inputs = [(_parse_qubit_input(name), name) for name in names]
+    inputs = [(name, *_parse_qubit_input(name)) for name in names]
     rng = np.random.default_rng(spec.seed)
     ideal = spec.ideal
     rows = []
-    for q, name in inputs:
-        true_label = _BELL_LABELS.get(name)
+    for name, true_label, q in inputs:
         if true_label is None:  # amplitudes: find which Bell state, if any, they are
             try:
                 true_label = ideal_label(q)
@@ -408,9 +417,9 @@ def _run_oracle_check(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
         raise InvalidSpec(str(exc)) from exc
     details = []
     xs = (cfg.bunched_peak, cfg.threshold, cfg.balanced_peak)
-    splits = [apply_beam_splitter(embed(q)) for q in _BELL_INPUTS.values()]
+    splits = [apply_beam_splitter(embed(q)) for _, q in _BELL_INPUTS.values()]
     refs = full_fock_reference(splits, ocfg, ANALYZER_WEIGHTS, xs)
-    for (name, q), (grid, p_oracle, conditionals) in zip(_BELL_INPUTS.items(), refs):
+    for (name, (_, q)), (grid, p_oracle, conditionals) in zip(_BELL_INPUTS.items(), refs):
         pd = symmetry_pointer(q, cfg)
         density_dev = float(np.max(np.abs(p_oracle - homodyne_density(pd, grid))))
         collapse_dev = max(1.0 - collapse(pd, x).fidelity(ref) for x, ref in zip(xs, conditionals))

@@ -160,21 +160,13 @@ PAULI_MAPS = {
 }
 
 
-def pauli_amps(amps: Amps, qubit: int, op: str) -> Amps:
-    """apply_pauli on an (HH, HV, VH, VV) amplitude tuple."""
+def apply_pauli(q: TwoQubitState, qubit: int, op: str) -> TwoQubitState:
+    """Apply the single-qubit Pauli op (X, Y or Z) to polarization qubit 1 or 2."""
     if qubit not in (1, 2):
         raise ValueError(f"qubit must be 1 or 2, got {qubit!r}")
     if op not in ("X", "Y", "Z"):
         raise ValueError(f"op must be X, Y or Z, got {op!r}")
-    return PAULI_MAPS[op, qubit](amps)
-
-
-def apply_pauli(q: TwoQubitState, qubit: int, op: str) -> TwoQubitState:
-    """Apply a single-qubit Pauli to polarization qubit 1 or 2.
-
-    X swaps H and V, Z flips the sign of V, and Y = iXZ.
-    """
-    return TwoQubitState(pauli_amps(q.amps, qubit, op))
+    return TwoQubitState(PAULI_MAPS[op, qubit](q.amps))
 
 
 class SpatialFockState:

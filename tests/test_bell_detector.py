@@ -10,7 +10,6 @@ from kerrbell import (
     Classification,
     DetectionPolicy,
     NotABellState,
-    Symmetry,
     TwoQubitState,
     apply_pauli,
     bell_detect,
@@ -58,32 +57,6 @@ class TestIdealLimit:
         full = 3 if policy.omit_final else 4
         expected = _EARLY_COUNTS.get(label, full) if policy.early_exit else full
         assert trace.analyzer_count == expected
-        assert trace.analyzer_count == len(trace.steps)
-
-    def test_trace_pauli_sequence(self):
-        cfg = AnalyzerConfig(theta=0.1, alpha=50.0)
-        rng = np.random.default_rng(0)
-        trace = bell_detect(
-            bell_state(BellLabel.PSI_PLUS), cfg, DetectionPolicy(), rng, ideal=True
-        )
-        assert [pauli for pauli, _ in trace.steps] == [None, ("X", 2), ("Z", 2), ("X", 2)]
-
-    def test_first_singlet_position_sets_label(self):
-        cfg = AnalyzerConfig(theta=0.1, alpha=50.0)
-        rng = np.random.default_rng(0)
-        from kerrbell import Symmetry
-
-        for label, position in [
-            (BellLabel.PSI_MINUS, 1),
-            (BellLabel.PHI_MINUS, 2),
-            (BellLabel.PHI_PLUS, 3),
-            (BellLabel.PSI_PLUS, 4),
-        ]:
-            trace = bell_detect(
-                bell_state(label), cfg, DetectionPolicy(), rng, ideal=True
-            )
-            outcomes = [symmetry for _, symmetry in trace.steps]
-            assert outcomes.index(Symmetry.SINGLET) + 1 == position
 
 
 class TestFiniteResources:
@@ -179,13 +152,13 @@ _LABEL_AT = [BellLabel.PSI_MINUS, BellLabel.PHI_MINUS, BellLabel.PHI_PLUS, BellL
 def reference_detect(q, cfg, policy, rng, ideal=False):
     """bell_detect rebuilt from apply_pauli, sample_outcome, classify and kraus.
 
-    Returns (steps, label, post state).  With ideal, one rng.random() below
+    Returns (analyzer count, label, post state).  With ideal, one rng.random() below
     |<PsiMinus|state>|^2 picks the Singlet sector, and the state is projected
     onto the drawn sector exactly.
     """
     psi_minus = bell_state(BellLabel.PSI_MINUS)
     paulis = [None, ("X", 2), ("Z", 2), ("X", 2)][: 3 if policy.omit_final else 4]
-    state, steps, applied, first = q, [], [], None
+    state, applied, first = q, [], None
     for k, pauli in enumerate(paulis):
         if pauli is not None:
             state = apply_pauli(state, pauli[1], pauli[0])
@@ -200,16 +173,15 @@ def reference_detect(q, cfg, policy, rng, ideal=False):
             x = sample_outcome(fidelity(state, psi_minus), cfg, rng)
             singlet = classify(x, cfg.theta, cfg.alpha) is Classification.BALANCED
             state = kraus(state, x, cfg)
-        steps.append((pauli, Symmetry.SINGLET if singlet else Symmetry.TRIPLET))
         if singlet and first is None:
             first = k
             if policy.early_exit:
                 for op, qubit in reversed(applied):
                     state = apply_pauli(state, qubit, op)
-                return steps, _LABEL_AT[first], state
+                return k + 1, _LABEL_AT[first], state
     closing = ("Y", 2) if policy.omit_final else ("Z", 2)
     label = BellLabel.PSI_PLUS if first is None else _LABEL_AT[first]
-    return steps, label, apply_pauli(state, closing[1], closing[0])
+    return len(paulis), label, apply_pauli(state, closing[1], closing[0])
 
 
 @pytest.mark.parametrize("early_exit", [True, False])
@@ -223,10 +195,9 @@ def test_matches_reference_chain_on_non_bell_input(early_exit, omit_final):
         for _ in range(50):
             q = random_state(inputs)
             trace = bell_detect(q, cfg, policy, rng)
-            steps, label, post = reference_detect(q, cfg, policy, ref)
-            assert list(trace.steps) == steps
+            count, label, post = reference_detect(q, cfg, policy, ref)
             assert trace.label == label
-            assert trace.analyzer_count == len(steps)
+            assert trace.analyzer_count == count
             assert 1.0 - fidelity(trace.post_state, post) <= 1e-12
             assert trace.post_state.amps == post.amps  # the same operations, in order
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -243,10 +214,9 @@ def test_matches_reference_chain_on_bell_and_mixed_inputs(policy, ideal):
         for q in inputs:
             for _ in range(25):
                 trace = bell_detect(q, cfg, policy, rng, ideal)
-                steps, label, post = reference_detect(q, cfg, policy, ref, ideal)
-                assert list(trace.steps) == steps
+                count, label, post = reference_detect(q, cfg, policy, ref, ideal)
                 assert trace.label == label
-                assert trace.analyzer_count == len(steps)
+                assert trace.analyzer_count == count
                 if ideal:  # the reference projects with other arithmetic
                     assert 1.0 - fidelity(trace.post_state, post) <= 1e-12
                 else:

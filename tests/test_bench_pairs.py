@@ -1,6 +1,8 @@
-"""The paired-benchmark tool's summary arithmetic on fixed, fake run results."""
+"""The paired-benchmark tool's summary arithmetic on fixed, fake run results,
+and its copy of the working tree."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -81,3 +83,21 @@ def test_a_pair_notes_different_tail_percentiles():
     assert same["first"] == "change" and "note" not in same
     differ = bench_pairs.pair_record(_run(tail="p99"), _run(tail="p99.9"), "base")
     assert differ["note"] == "tail percentiles differ: base p99, change p99.9"
+
+
+def test_copy_tracked_takes_tracked_files_as_they_are_on_disk(tmp_path):
+    # A fresh repository with staged files and no commit: the copy needs no history.
+    repo, dest = tmp_path / "repo", tmp_path / "dest"
+    (repo / "pkg").mkdir(parents=True)
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    for name in ("a.txt", "pkg/b.py", "gone.txt"):
+        (repo / name).write_text(f"staged {name}\n")
+    subprocess.run(["git", "-C", str(repo), "add", "."], check=True)
+    (repo / "pkg" / "b.py").write_text("edited\n")
+    (repo / "gone.txt").unlink()
+    (repo / "untracked.txt").write_text("not tracked\n")
+    bench_pairs.copy_tracked(dest, repo)
+    copied = sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file())
+    assert copied == ["a.txt", "pkg/b.py"]
+    assert (dest / "a.txt").read_text() == "staged a.txt\n"
+    assert (dest / "pkg" / "b.py").read_text() == "edited\n"

@@ -9,8 +9,10 @@ import pytest
 
 from kerrbell import (
     AnalyzerConfig,
+    BellLabel,
     InvalidSpec,
     SpatialFockState,
+    bell_state,
     classify,
     error_probability,
     sample_outcome,
@@ -122,6 +124,40 @@ class TestValidation:
         report["spec"]["out"] = None
         assert json.dumps(report, sort_keys=True) == json.dumps(plain, sort_keys=True)
 
+    # Every command checks every text field, before anything is written.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("input", 5),
+            ("input", ["PsiMinus"]),
+            ("input", np.int64(3)),
+            ("input", b"PsiMinus"),
+            ("targets", None),
+            ("targets", 1.5),
+            ("targets", ["1.0"]),
+            ("out", 0),
+            ("out", b"r.json"),
+            ("out", ["r.json"]),
+        ],
+    )
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_text_field_is_an_invalid_spec(
+        self, tmp_path, monkeypatch, command, field, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(InvalidSpec, match=f"{field} must be a str"):
+            run(_spec(command=command, alpha=2.0, trials=1, **{field: value}))
+        assert not any(tmp_path.iterdir())
+
+    def test_path_out_and_str_subclass_input_echo_as_plain_str(self, tmp_path):
+        out = tmp_path / "r.json"
+        spec = _spec(command="symmetry", trials=3, seed=1, input=np.str_("PhiPlus"), out=out)
+        report = run(spec)
+        assert type(spec.input) is str and type(spec.out) is str
+        assert report["spec"]["out"] == str(out)
+        assert json.loads(out.read_text()) == json.loads(json.dumps(report))
+        assert report["density_csv"] == str(tmp_path / "r_density.csv")
+
     @pytest.mark.parametrize(
         "text, match",
         [
@@ -174,6 +210,24 @@ class TestReports:
         row = report["results"][0]
         assert row["label_counts"]["PsiMinus"] == 1
         assert row["mean_analyzer_count"] == 1.0
+
+    @pytest.mark.parametrize("ideal", [False, True])
+    def test_bell_amplitude_input_naming_a_bell_state(self, ideal):
+        # The parsed amplitudes are bit for bit PsiMinus's, so at one seed the
+        # row equals the named input's in everything but the input text.
+        assert normalized_amps("0,1,-1,0".split(",")) == bell_state(BellLabel.PSI_MINUS).amps
+        kw = dict(command="bell", theta=0.3, alpha=1.5 / 0.09, trials=40, seed=3, ideal=ideal)
+        row = run(_spec(input="0,1,-1,0", **kw))["results"][0]
+        named = run(_spec(input="PsiMinus", **kw))["results"][0]
+        assert row["true_label"] == "PsiMinus"
+        assert {"accuracy", "mean_fidelity_when_correct"} <= row.keys()
+        assert dict(row, input="PsiMinus") == named  # label counts included
+
+    def test_bell_phased_amplitude_input_is_labelled(self):
+        report = run(_spec(command="bell", input="0,1j,-1j,0", trials=5, seed=1, ideal=True))
+        row = report["results"][0]
+        assert row["true_label"] == "PsiMinus"
+        assert row["accuracy"]["rate"] == 1.0
 
     def test_sweep_table(self):
         report = run(

@@ -22,7 +22,7 @@ from kerrbell import (
     extract,
     fidelity,
 )
-from kerrbell.fock_core import normalized_amps, pauli_amps
+from kerrbell.fock_core import PAULI_MAPS, normalized_amps
 from conftest import random_state
 
 R = 1.0 / math.sqrt(2.0)
@@ -200,7 +200,7 @@ class TestPauli:
         matrix = np.kron(sigma, np.eye(2)) if qubit == 1 else np.kron(np.eye(2), sigma)
         q = random_state(rng)
         want = matrix @ np.array(q.amps)
-        assert pauli_amps(q.amps, qubit, op) == tuple(complex(a) for a in want)
+        assert PAULI_MAPS[op, qubit](q.amps) == tuple(complex(a) for a in want)
 
     def test_invalid_arguments(self):
         q = bell_state(BellLabel.PSI_PLUS)

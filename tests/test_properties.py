@@ -36,7 +36,7 @@ from kerrbell import (
     symmetry_pointer,
 )
 from kerrbell.analyzers import _kraus_weights, _project, _singlet_amplitude, symmetry_campaign
-from kerrbell.fock_core import fidelity_amps, pauli_amps
+from kerrbell.fock_core import PAULI_MAPS, fidelity_amps
 from kerrbell.cli import main
 from conftest import random_state, random_triplet
 
@@ -252,7 +252,7 @@ def test_bell_detect_ignores_a_pauli_on_both_qubits(
         rng = copy.deepcopy(rng)
         for pauli in BELL_CHAIN[: 3 if omit_final else 4]:
             if pauli is not None:
-                amps = pauli_amps(amps, pauli[1], pauli[0])
+                amps = PAULI_MAPS[pauli](amps)
             if near_tie(copy.deepcopy(rng).random(), amps):
                 return True
             singlet, amps = shot(amps, cfg, rng, ideal)

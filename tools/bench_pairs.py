@@ -4,17 +4,19 @@
     python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --out BENCH_<tag>.json
     python3 tools/bench_pairs.py --base HEAD --workloads paper_symmetry wide_grid --pairs 3 --out /tmp/b.json
 
-REV is extracted with ``git archive`` into a temporary directory, so the run
-leaves nothing behind in the repository's git metadata.  For each workload
-and pair the unmodified benchmark
+REV is extracted with ``git archive`` into one temporary directory and the
+working tree's tracked files (``git ls-files``, as they are on disk) are
+copied into another, so both sides run from the same kind of checkout and the
+run leaves nothing behind in the repository.  For each workload and pair the
+unmodified benchmark
 
     python3 <checkout>/perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-runs once on that checkout and once on the working tree, each from its own
-root, with T the benchmark's ``run_seconds`` from BENCHMARK.json.  Even pairs
-run the base first and odd pairs the working tree first, so a drift in the
-machine's speed falls on both sides alike.  Runs go one at a time.  A run that
-exits non-zero or fails a campaign stops the tool.
+runs once on each checkout, from its own root, with T the benchmark's
+``run_seconds`` from BENCHMARK.json.  Even pairs run the base first and odd
+pairs the working tree first, so a drift in the machine's speed falls on both
+sides alike.  Runs go one at a time.  A run that exits non-zero or fails a
+campaign stops the tool.
 
 The output file holds both commits, the environment, every run's metrics,
 campaign count and tail percentile (a pair whose two runs read different tail
@@ -40,6 +42,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -112,9 +115,9 @@ def pair_record(base: dict, change: dict, first: str) -> dict:
     return record
 
 
-def _git(*args: str) -> str:
+def _git(*args: str, root: Path = ROOT) -> str:
     return subprocess.run(
-        ["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True
+        ["git", "-C", str(root), *args], check=True, capture_output=True, text=True
     ).stdout.strip()
 
 
@@ -125,6 +128,16 @@ def extract(rev: str, dest: Path) -> None:
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def copy_tracked(dest: Path, root: Path = ROOT) -> None:
+    """The tracked files of the working tree at root, as they are on disk,
+    under dest; a tracked file deleted from the working tree is left out."""
+    names = _git("ls-files", "-z", root=root).split("\0")
+    for name in filter(None, names):
+        if os.path.lexists(root / name):
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name, follow_symlinks=False)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -194,13 +207,17 @@ def main(argv: list[str] | None = None) -> int:
         "environment": environment(),
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base_root = Path(tmp)
+    with (
+        tempfile.TemporaryDirectory(prefix="bench-base-") as base_tmp,
+        tempfile.TemporaryDirectory(prefix="bench-change-") as change_tmp,
+    ):
+        base_root, change_root = Path(base_tmp), Path(change_tmp)
         extract(args.base, base_root)
+        copy_tracked(change_root)
         for workload in args.workloads:
             pairs = []
             for i in range(args.pairs):
-                sides = [("base", base_root), ("change", ROOT)]
+                sides = [("base", base_root), ("change", change_root)]
                 if i % 2:
                     sides.reverse()
                 runs = {side: run_once(root, workload, args.seed, seconds) for side, root in sides}

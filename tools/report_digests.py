@@ -7,8 +7,8 @@
 The spec set covers all five commands at the three pinned operating points,
 seeds 1-3, sampled and --ideal where the command has it: demo2mode over
 four inputs and both signs, symmetry over the four Bell states and two mixed
-inputs, bell over all four Bell inputs and one mixed input under all four
-policies, sweep, and oracle-check at alpha 2 and 4 (its alpha cap) at each
+inputs, bell over all four Bell inputs, one mixed input and two amplitude
+inputs that name a Bell state under all four policies, sweep, and oracle-check at alpha 2 and 4 (its alpha cap) at each
 pinned theta.  The input parser's edge cases come on top: symmetry and bell
 (sampled and --ideal, default policy) and demo2mode (both signs) on values
 written as repr(complex) writes them, as perfbench does, with whitespace
@@ -47,6 +47,9 @@ SEEDS = (1, 2, 3)
 TRIALS = 200
 BELL_LABELS = ("PsiMinus", "PsiPlus", "PhiMinus", "PhiPlus")
 MIXED = ("0.5,0.5j,-0.5,0.5", "0.3,0.5,0.2,0.7")
+# Amplitude text that names a Bell state (PsiMinus, and PsiMinus times i), so
+# the bell runner finds its true label with ideal_label.
+BELL_AMPS = ("0,1,-1,0", "0,1j,-1j,0")
 DEMO_INPUTS = (None, "0.6,0.8j", "1,0", "0,1")
 # Parser edge cases: repr(complex) values (signed zeros included), spaces and
 # tabs around values, subnormal and huge amplitudes.
@@ -89,7 +92,7 @@ def specs() -> list[dict]:
             for text in BELL_LABELS + MIXED:
                 for ideal in (False, True):
                     out.append(dict(base, command="symmetry", input=text, ideal=ideal))
-            for text in (None, MIXED[0]):
+            for text in (None, MIXED[0]) + BELL_AMPS:
                 for early_exit in (True, False):
                     for omit_final in (False, True):
                         for ideal in (False, True):
