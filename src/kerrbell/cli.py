@@ -86,11 +86,9 @@ class ExperimentSpec:
     def validate(self) -> AnalyzerConfig:
         """Raise InvalidSpec unless every field is valid; return the spec's
         operating point, whose construction checks the theta and alpha domain.
-
-        A numeric field given as a numpy scalar or another number type becomes
-        the plain int or float of its value, a numpy bool flag a plain bool and
-        an os.PathLike out its path string, so the runners and the report's
-        spec echo see plain values."""
+        A field that is not a plain value becomes one (_plain_values).  out
+        must name a file that is not a directory and whose existing ancestors
+        are all directories, so a bad path fails before any trial runs."""
         if self.command not in COMMANDS:
             raise InvalidSpec(f"unknown command {self.command!r}")
         # Plain values, the common case, skip the numbers-ABC checks (~0.5 us each).
@@ -111,54 +109,45 @@ class ExperimentSpec:
         check_domain(grid_step=self.grid_step)
         if self.sign not in (1, -1):
             raise InvalidSpec(f"sign must be +1 or -1, got {self.sign!r}")
-        if self.out is not None and (not Path(self.out).name or Path(self.out).is_dir()):
-            raise InvalidSpec(f"out must name a file, got {self.out!r}")
+        if self.out is not None:
+            path = Path(self.out)
+            try:  # a name too long to look up raises OSError
+                under_file = any(p.exists() and not p.is_dir() for p in path.parents)
+                if under_file or not path.name or path.is_dir():
+                    raise InvalidSpec(f"out must name a file under directories, got {self.out!r}")
+            except OSError as exc:
+                raise InvalidSpec(f"cannot use out {self.out!r}: {exc}") from exc
         return cfg
 
     def _plain_values(self) -> None:
-        """Make each numeric field a plain int or float, each flag a plain bool
-        and each text field a plain str or allowed None, or raise InvalidSpec.
-        A plain int stays an int in the real fields."""
-        for name in ("trials", "seed", "sign"):
-            setattr(self, name, _integer(name, getattr(self, name)))
-        for name in ("theta", "alpha", "grid_step"):
-            setattr(self, name, _real(name, getattr(self, name)))
-        for name in ("early_exit", "omit_final", "ideal"):
-            setattr(self, name, _flag(name, getattr(self, name)))
+        """Make each field the plain value of its kind in _FIELD_KINDS, or
+        raise InvalidSpec naming the first field, in table order, whose value
+        the kind does not accept.  An os.PathLike out first becomes its path."""
         if isinstance(self.out, os.PathLike):
             self.out = os.fspath(self.out)
-        for name, optional in (("input", True), ("targets", False), ("out", True)):
-            setattr(self, name, _text(name, getattr(self, name), optional))
+        for name, (accepts, plain, kind) in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            if not accepts(value):
+                raise InvalidSpec(f"{name} must be {kind}, got {value!r}")
+            setattr(self, name, plain(value))
 
 
-# A bool is an Integral, but True and False are flags, not counts or angles.
-def _integer(name: str, value) -> int:
-    """value as a plain int, or InvalidSpec if it is not an integer."""
-    if isinstance(value, Integral) and not isinstance(value, bool):
-        return int(value)
-    raise InvalidSpec(f"{name} must be an integer, got {value!r}")
-
-
-def _real(name: str, value) -> float | int:
-    """value as a plain float (a plain int as given), or InvalidSpec if it is
-    not a real number."""
-    if isinstance(value, Real) and not isinstance(value, bool):
-        return value if type(value) is int else float(value)
-    raise InvalidSpec(f"{name} must be a real number, got {value!r}")
-
-
-def _flag(name: str, value) -> bool:
-    """value as a plain bool, or InvalidSpec if it is not a bool or numpy bool."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    raise InvalidSpec(f"{name} must be a bool, got {value!r}")
-
-
-def _text(name: str, value, optional: bool) -> str | None:
-    """value as a plain str, None as given where optional, or InvalidSpec."""
-    if isinstance(value, str) or (value is None and optional):
-        return None if value is None else str(value)
-    raise InvalidSpec(f"{name} must be a str{' or None' if optional else ''}, got {value!r}")
+# Each field's kind: (accept test, plain conversion, what the error calls it).
+# A bool is an Integral, but True and False are flags, not counts or angles;
+# a plain int stays an int in the real fields.
+_INTEGER = (lambda v: isinstance(v, Integral) and not isinstance(v, bool), int, "an integer")
+_REAL = (lambda v: isinstance(v, Real) and not isinstance(v, bool),
+         lambda v: v if type(v) is int else float(v), "a real number")
+_FLAG = (lambda v: isinstance(v, (bool, np.bool_)), bool, "a bool")
+_TEXT = (lambda v: isinstance(v, str), str, "a str")
+_OPTIONAL_TEXT = (lambda v: v is None or isinstance(v, str),
+                  lambda v: None if v is None else str(v), "a str or None")
+_FIELD_KINDS = {  # integers, reals, flags, then text: the order fields are checked in
+    "trials": _INTEGER, "seed": _INTEGER, "sign": _INTEGER,
+    "theta": _REAL, "alpha": _REAL, "grid_step": _REAL,
+    "early_exit": _FLAG, "omit_final": _FLAG, "ideal": _FLAG,
+    "input": _OPTIONAL_TEXT, "targets": _TEXT, "out": _OPTIONAL_TEXT,
+}
 
 
 def _analytic_errors(theta: float, alpha: float) -> dict:
@@ -228,12 +217,19 @@ def _summarize(
     return report
 
 
-def _write_json(report: dict, out: str | None) -> None:
-    if out is None:
-        return
+def _write(out: str, suffix: str, text: str) -> str:
+    """Write text to out, or given a suffix to the file named by out's stem and
+    suffix, creating its directories; return its path.  A refused path (OSError,
+    or ValueError as for an embedded NUL) is an InvalidSpec naming it."""
     path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if suffix:
+        path = path.with_name(path.stem + suffix)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except (OSError, ValueError) as exc:
+        raise InvalidSpec(f"cannot write {str(path)!r}: {exc}") from exc
+    return str(path)
 
 
 def _write_csv(out: str | None, suffix: str, header: str, rows) -> str | None:
@@ -242,12 +238,8 @@ def _write_csv(out: str | None, suffix: str, header: str, rows) -> str | None:
     without out, write nothing, return None and never call rows()."""
     if out is None:
         return None
-    path = Path(out)
-    path = path.with_name(path.stem + suffix)
     lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows()]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
+    return _write(out, suffix, "\n".join(lines) + "\n")
 
 
 def _density_csv(pointer, spec: ExperimentSpec) -> str | None:
@@ -458,7 +450,8 @@ def run(spec: ExperimentSpec) -> dict:
     cfg = spec.validate()
     report = _RUNNERS[spec.command](spec, cfg)
     report["spec"] = dict(vars(spec))
-    _write_json(report, spec.out)
+    if spec.out is not None:
+        _write(spec.out, "", json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 

@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import math
+import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from kerrbell import (
     sample_outcome,
 )
 from kerrbell.analyzers import _kraus_weights
-from kerrbell.cli import COMMANDS, ExperimentSpec, main, run
+from kerrbell.cli import _FIELD_KINDS, COMMANDS, ExperimentSpec, main, run
 from kerrbell.fock_core import normalized_amps
 
 
@@ -157,6 +160,32 @@ class TestValidation:
         assert report["spec"]["out"] == str(out)
         assert json.loads(out.read_text()) == json.loads(json.dumps(report))
         assert report["density_csv"] == str(tmp_path / "r_density.csv")
+
+    def test_kind_table_covers_every_field(self):
+        # A field added to ExperimentSpec must get a kind, or it skips coercion.
+        names = {f.name for f in dataclasses.fields(ExperimentSpec)}
+        assert set(_FIELD_KINDS) == names - {"command"}
+
+    # Every field takes each kind of odd value: InvalidSpec, or a report whose
+    # spec echo is plain JSON.
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_odd_value_in_any_field_is_an_invalid_spec_or_a_report(
+        self, tmp_path, monkeypatch, command
+    ):
+        class Text(str):
+            pass
+
+        monkeypatch.chdir(tmp_path)
+        values = [np.int64(1), np.float64(0.5), np.bool_(True), Fraction(1, 2), True,
+                  tmp_path / "r.json", None, Text("PhiPlus"), ["1"]]
+        for field in dataclasses.fields(ExperimentSpec)[1:]:  # all but command
+            for value in values:
+                fields = dict(dict(command=command, alpha=2.0, trials=1), **{field.name: value})
+                try:
+                    report = run(_spec(**fields))
+                except InvalidSpec:
+                    continue
+                json.dumps(report["spec"])
 
     @pytest.mark.parametrize(
         "text, match",
@@ -471,18 +500,42 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("error: density grid")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["symmetry", "demo2mode", "bell", "sweep"])
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("as_dir", [False, True])
     def test_exit_two_when_out_names_no_file(self, tmp_path, monkeypatch, capsys, command, as_dir):
-        # "" and a directory name no report file; nothing may be written first.
-        directory = tmp_path / "d"
+        # Without as_dir, out has no name or lies under a regular file; with it,
+        # a directory stands where the report or its sidecar CSV would go.  Only
+        # the sidecar is found at the write; nothing may be written either way.
+        directory, regular = tmp_path / "d", tmp_path / "f"
         directory.mkdir()
+        regular.write_text("")
+        sidecar = {"symmetry": "r_density.csv", "demo2mode": "r_density.csv", "sweep": "r_sweep.csv"}
+        if as_dir:
+            outs = [directory]
+            if command in sidecar:
+                (directory / sidecar[command]).mkdir()
+                outs.append(directory / "r.json")
+        else:
+            outs = ["", regular / "x.json", regular / "sub" / "x.json"]
         monkeypatch.chdir(tmp_path)
-        out = str(directory) if as_dir else ""
-        assert main([command, "--trials", "1", "--out", out]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert list(tmp_path.iterdir()) == [directory]
-        assert not any(directory.iterdir())
+        before = sorted(tmp_path.rglob("*"))
+        argv = [command, "--trials", "1"] + (["--alpha", "2"] if command == "oracle-check" else [])
+        for out in outs:
+            assert main(argv + ["--out", str(out)]) == 2, out
+            assert capsys.readouterr().err.startswith("error: ")
+            assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command, refused", [("symmetry", "r_density.csv"), ("bell", "r.json")])
+    def test_exit_two_when_a_write_fails(self, tmp_path, monkeypatch, capsys, command, refused):
+        # File modes do not stop root, so the refusal is simulated.
+        def refuse(path, text):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(pathlib.Path, "write_text", refuse)
+        assert main([command, "--trials", "1", "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and str(tmp_path / refused) in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_cli_defaults_are_the_spec_defaults(self, capsys, command):

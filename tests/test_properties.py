@@ -4,7 +4,10 @@ the CLI's exit codes at the edges of the parameter domain."""
 import contextlib
 import copy
 import io
+import json
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -37,7 +40,7 @@ from kerrbell import (
 )
 from kerrbell.analyzers import _kraus_weights, _project, _singlet_amplitude, symmetry_campaign
 from kerrbell.fock_core import PAULI_MAPS, fidelity_amps
-from kerrbell.cli import main
+from kerrbell.cli import ExperimentSpec, main
 from conftest import random_state, random_triplet
 
 # The paper's point, the threshold point and the grid-stress point.
@@ -312,3 +315,86 @@ def test_main_exits_with_a_documented_code(
         argv += [flag, value] if separate else [f"{flag}={value}"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2, 3)
+
+
+# Odd text for any option; each option also gets a few values in range.  Grid
+# steps of 0.01 (the default) and up keep every density grid, at theta <= 0.5
+# and alpha <= 114, and every oracle grid near 1e4 points or fewer; a finer
+# step in the domain exits 2 at the grid cap before any work.
+ODD_TEXT = ["nan", "inf", "-inf", "0", "-0", "1e-320", "1e308", "abc", ""]
+OPTION_VALUES = {
+    "--theta": ["0.1", "0.3", "0.5"],
+    "--alpha": ["2", "10", "114"],
+    "--seed": ["0", "7"],
+    "--grid-step": ["0.05", "0.5", "1"],
+    "--sign": ["1", "-1"],
+    "--targets": ["1.0", "1.0,1.5"],
+    "--input": ["PsiMinus", "PhiPlus", "0,1,-1,0", "0.3,0.5,0.2,0.7", "0.6,0.8",
+                "0,0,0,0", "0,0", "1,0,0", "nan,1,0,0", "1e-320,0,0,0", "1e308,1e308"],
+}
+COMMAND_OPTIONS = {
+    "demo2mode": ["--input", "--sign"],
+    "symmetry": ["--input", "--ideal"],
+    "bell": ["--input", "--early-exit", "--no-early-exit", "--omit-final", "--ideal"],
+    "sweep": ["--targets"],
+    "oracle-check": [],
+}
+# --out under a fresh directory holding d/, a regular file f, and side/ whose
+# sidecar names r_density.csv and r_sweep.csv are directories.
+OUT_PATHS = [None, "r.json", "new/sub/r.json", "d", "f/x.json", "f/sub/x.json", "", "side/r.json"]
+PARSED = {"--theta": float, "--alpha": float, "--grid-step": float, "--seed": int,
+          "--sign": int, "--targets": str, "--input": str}
+FLAGS = {"--early-exit": ("early_exit", True), "--no-early-exit": ("early_exit", False),
+         "--omit-final": ("omit_final", True), "--ideal": ("ideal", True)}
+
+
+@st.composite
+def argv_and_out(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    names = ["--theta", "--alpha", "--seed", "--grid-step", *COMMAND_OPTIONS[command]]
+    options = {}
+    for name in filter(lambda _: draw(st.booleans()), names):
+        options[name] = (
+            None if name in FLAGS
+            else draw(st.sampled_from(OPTION_VALUES[name]) | st.sampled_from(ODD_TEXT))
+        )
+    trials = draw(st.integers(min_value=1, max_value=3))
+    return command, options, trials, draw(st.sampled_from(OUT_PATHS))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(drawn=argv_and_out())
+def test_main_keeps_the_exit_code_contract_with_inputs_and_out(tmp_path_factory, drawn):
+    # Exit 0, 2 or 3 only; exit 2 writes nothing; exit 0 with --out writes the
+    # printed report, whose spec echoes the parsed options.
+    command, options, trials, out = drawn
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+        root = pathlib.Path(tmp)
+        for name in ("d", "side/r_density.csv", "side/r_sweep.csv"):
+            (root / name).mkdir(parents=True)
+        (root / "f").write_text("")
+        argv = [command, "--trials", str(trials)]
+        for name, value in options.items():
+            argv += [name] if value is None else [name, value]
+        if out is not None:
+            out = str(root / out) if out else out
+            argv += ["--out", out]
+        before = sorted(root.rglob("*"))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+        assert code in (0, 2, 3), argv
+        event(f"exit {code}{'' if out is None else ' with --out'}")
+        if code == 2:
+            assert sorted(root.rglob("*")) == before, argv
+        if code == 0 and out is not None:
+            report = json.loads(pathlib.Path(out).read_text())
+            assert report == json.loads(stdout.getvalue())
+            fields = dict(FLAGS[n] for n in options if n in FLAGS)
+            fields.update((n[2:].replace("-", "_"), PARSED[n](v)) for n, v in options.items()
+                          if n not in FLAGS)
+            want = ExperimentSpec(command=command, trials=trials, out=out, **fields)
+            assert report["spec"] == json.loads(json.dumps(vars(want)))
