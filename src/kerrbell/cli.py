@@ -49,6 +49,8 @@ from .bell_detector import DetectionPolicy, bell_detect, ideal_label
 from .oracle import OracleConfig, full_fock_reference
 
 _BELL_INPUTS = {label.value: (label, bell_state(label)) for label in BellLabel}  # named inputs
+# The named inputs on four spatial modes after the beam splitters, in table order: oracle-check's.
+_BELL_SPLITS = [apply_beam_splitter(embed(q)) for _, q in _BELL_INPUTS.values()]
 _DEFAULT_INPUT = BellLabel.PSI_MINUS.value  # of the symmetry runner
 _DEMO_INPUT = (complex(1.0 / math.sqrt(2.0)),) * 2  # d1 = d2 = 1/sqrt2, of demo2mode
 _PSI_MINUS = bell_state(BellLabel.PSI_MINUS)
@@ -87,8 +89,9 @@ class ExperimentSpec:
         """Raise InvalidSpec unless every field is valid; return the spec's
         operating point, whose construction checks the theta and alpha domain.
         A field that is not a plain value becomes one (_plain_values).  out
-        must name a file that is not a directory and whose existing ancestors
-        are all directories, so a bad path fails before any trial runs."""
+        must be a file name the system can encode, without NUL, that is not a
+        directory and whose ancestors are each a directory or absent (not a
+        dangling symlink), so a bad path fails before any trial runs."""
         if self.command not in COMMANDS:
             raise InvalidSpec(f"unknown command {self.command!r}")
         # Plain values, the common case, skip the numbers-ABC checks (~0.5 us each).
@@ -111,12 +114,18 @@ class ExperimentSpec:
             raise InvalidSpec(f"sign must be +1 or -1, got {self.sign!r}")
         if self.out is not None:
             path = Path(self.out)
-            try:  # a name too long to look up raises OSError
-                under_file = any(p.exists() and not p.is_dir() for p in path.parents)
-                if under_file or not path.name or path.is_dir():
-                    raise InvalidSpec(f"out must name a file under directories, got {self.out!r}")
-            except OSError as exc:
+            try:  # a name too long to look up raises OSError, an unencodable one ValueError
+                refused = (
+                    b"\0" in os.fsencode(self.out)
+                    or not path.name
+                    or path.is_dir()
+                    # an ancestor that is a file, or a symlink to nowhere
+                    or any((p.is_symlink() or p.exists()) and not p.is_dir() for p in path.parents)
+                )
+            except (OSError, ValueError) as exc:
                 raise InvalidSpec(f"cannot use out {self.out!r}: {exc}") from exc
+            if refused:
+                raise InvalidSpec(f"out must name a file under directories, got {self.out!r}")
         return cfg
 
     def _plain_values(self) -> None:
@@ -409,8 +418,7 @@ def _run_oracle_check(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
         raise InvalidSpec(str(exc)) from exc
     details = []
     xs = (cfg.bunched_peak, cfg.threshold, cfg.balanced_peak)
-    splits = [apply_beam_splitter(embed(q)) for _, q in _BELL_INPUTS.values()]
-    refs = full_fock_reference(splits, ocfg, ANALYZER_WEIGHTS, xs)
+    refs = full_fock_reference(_BELL_SPLITS, ocfg, ANALYZER_WEIGHTS, xs)
     for (name, (_, q)), (grid, p_oracle, conditionals) in zip(_BELL_INPUTS.items(), refs):
         pd = symmetry_pointer(q, cfg)
         density_dev = float(np.max(np.abs(p_oracle - homodyne_density(pd, grid))))

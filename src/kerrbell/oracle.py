@@ -1,11 +1,19 @@
 """Brute-force cross-check: the probe expanded in a truncated number basis.
 
 Everything the pointer module does analytically is redone here the slow way:
-the joint signal-probe state is held as explicit coefficients over
-(occupation, probe photon number), the cross-Kerr coupling acts as a diagonal
-phase, and the homodyne projection uses the number-basis quadrature
-wavefunctions for X = c + c^dag.  Feasible only for small probe amplitudes,
-which is exactly where it certifies the pointer algebra.
+the joint signal-probe state is expanded over (occupation, probe photon
+number), the cross-Kerr coupling acts as a diagonal phase, and the homodyne
+projection uses the number-basis quadrature wavefunctions for X = c + c^dag.
+Feasible only for small probe amplitudes, which is exactly where it certifies
+the pointer algebra.
+
+The joint coefficient d_occ*c_n*exp(i*theta*net*n) depends on the occupation
+only through its amplitude d_occ and net weight, so the probe is summed once
+per net: f_net(x) = sum_n c_n*exp(i*theta*net*n)*<x|n>.  A density is
+sum_net w_net*|f_net(x)|^2, w_net being the signal weight at that net, and a
+conditional state at x is d_occ*f_net(x) up to its norm.  The wavefunctions
+<x|n> are never tabulated over a density grid: the recursion streams them in
+chunks of _CHUNK rows, each folded into the sums by one matrix product.
 
 Phase conventions: the number-basis expansion of a coherent state yields
 quadrature phases Im(beta)*(x - Re(beta)), whereas the analytic overlap used
@@ -29,7 +37,8 @@ from .fock_core import SpatialFockState
 from .pointer import uniform_grid
 
 _TAIL_TOL = 1e-12
-_BLOCK = 2048  # grid points per wavefunction table block
+_BLOCK = 16384  # grid points per pass of the recursion; only larger grids are split
+_CHUNK = 8  # wavefunction rows the recursion streams per step
 
 
 def default_n_max(alpha: float) -> int:
@@ -90,24 +99,39 @@ class OracleConfig:
         return self.n_max if self.n_max is not None else default_n_max(self.alpha)
 
 
-def quadrature_wavefunctions(xs: np.ndarray, n_max: int) -> np.ndarray:
-    """Number-state wavefunctions <x|n> for X = c + c^dag, rows n = 0..n_max.
+def _wavefunction_chunks(xs: np.ndarray, n_max: int):
+    """Yield (n, rows), rows[k] = <x|n + k> at xs, for n = 0, _CHUNK, ... <= n_max.
 
     <x|0> = (2*pi)**-0.25 * exp(-x**2/4), the beta = 0 limit of the coherent
     overlap; higher n follow the stable two-term recursion of the normalized
-    Hermite functions evaluated at x/sqrt2, each row written in place.
+    Hermite functions evaluated at x/sqrt2, each row written in place.  rows
+    is a view into one buffer that the next step overwrites: the chunk sits
+    after the two rows before it, which seed the recursion.
     """
-    xs = np.asarray(xs, dtype=float)
     z = xs / math.sqrt(2.0)
-    psi = np.empty((n_max + 1, xs.size))
-    psi[0] = (2.0 * math.pi) ** -0.25 * np.exp(-xs * xs / 4.0)
-    if n_max >= 1:
-        psi[1] = math.sqrt(2.0) * z * psi[0]
+    buf = np.empty((_CHUNK + 2, xs.size))
     tmp = np.empty(xs.size)
-    for n in range(2, n_max + 1):  # sqrt(2/n)*z*psi[n-1] - sqrt((n-1)/n)*psi[n-2]
-        np.multiply(math.sqrt(2.0 / n), z, out=psi[n])
-        psi[n] *= psi[n - 1]
-        psi[n] -= np.multiply(math.sqrt((n - 1.0) / n), psi[n - 2], out=tmp)
+    buf[2] = (2.0 * math.pi) ** -0.25 * np.exp(-xs * xs / 4.0)
+    if n_max >= 1:
+        buf[3] = math.sqrt(2.0) * z * buf[2]
+    for n0 in range(0, n_max + 1, _CHUNK):
+        m = min(_CHUNK, n_max + 1 - n0)
+        for k in range(2 if n0 else 4, m + 2):  # buf[k] holds row n0 + k - 2
+            n = n0 + k - 2  # sqrt(2/n)*z*psi[n-1] - sqrt((n-1)/n)*psi[n-2]
+            np.multiply(math.sqrt(2.0 / n), z, out=buf[k])
+            buf[k] *= buf[k - 1]
+            buf[k] -= np.multiply(math.sqrt((n - 1.0) / n), buf[k - 2], out=tmp)
+        yield n0, buf[2 : m + 2]
+        buf[:2] = buf[_CHUNK:]
+
+
+def quadrature_wavefunctions(xs: np.ndarray, n_max: int) -> np.ndarray:
+    """Number-state wavefunctions <x|n> for X = c + c^dag, rows n = 0..n_max,
+    gathered from the streamed recursion."""
+    xs = np.asarray(xs, dtype=float)
+    psi = np.empty((n_max + 1, xs.size))
+    for n, rows in _wavefunction_chunks(xs, n_max):
+        psi[n : n + len(rows)] = rows
     return psi
 
 
@@ -124,60 +148,98 @@ def _coherent_coefficients(alpha: float, n_max: int) -> np.ndarray:
 
 def _joint_amplitudes(
     s: SpatialFockState,
-    cfg: OracleConfig,
     weights: tuple[int, ...],
 ) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Occupations, net weights and joint coefficients A[occ, n] after the
-    diagonal cross-Kerr phases."""
+    """Occupations, their net weights and signal amplitudes d_occ.  The joint
+    coefficient after the cross-Kerr phases, d_occ*c_n*exp(i*theta*net*n), is
+    never tabulated: it depends on the occupation only through d_occ and net."""
     if len(weights) != s.n_modes:
         raise ValueError(f"need {s.n_modes} weights, got {len(weights)}")
     occs, amps = zip(*s.items())
     nets = np.asarray([sum(w * n for w, n in zip(weights, occ)) for occ in occs])
+    return occs, nets, np.asarray(amps)
+
+
+def _probe_rows(joints: list, cfg: OracleConfig) -> dict[int, np.ndarray]:
+    """Net u -> real rows [Re; Im] of the probe c_n*exp(i*theta*u*n), n = 0..n_max,
+    for every distinct net of the joints."""
     c = _coherent_coefficients(cfg.alpha, cfg.resolved_n_max)
     n = np.arange(cfg.resolved_n_max + 1)
-    phases = np.exp(1j * cfg.theta * np.outer(nets, n))
-    return occs, nets, np.asarray(amps)[:, None] * c[None, :] * phases
+    nets = sorted({u for _, js, _ in joints for u in js.tolist()})
+    probes = c * np.exp(1j * cfg.theta * np.outer(nets, n))
+    return {u: np.stack((p.real, p.imag)) for u, p in zip(nets, probes)}
 
 
-def _densities(joints: list, cfg: OracleConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(grid, sum_occ |joint @ psi|^2) per joint, from tables of at most _BLOCK grid
-    points; joints on equal grids (linspace: equal ends and size) share each block."""
+def _probe_sums(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows @ <x|n> over n = 0..len(rows[0]) - 1 at xs, folded chunk by chunk as
+    the recursion streams, in blocks of at most _BLOCK grid points."""
+    out = np.zeros((len(rows), xs.size))
+    for lo in range(0, xs.size, _BLOCK):
+        acc = out[:, lo : lo + _BLOCK]
+        tmp = np.empty_like(acc)
+        for n, psi in _wavefunction_chunks(xs[lo : lo + _BLOCK], rows.shape[1] - 1):
+            acc += np.matmul(rows[:, n : n + len(psi)], psi, out=tmp)
+    return out
+
+
+def _densities(
+    joints: list, cfg: OracleConfig, probes: dict[int, np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(grid, density) per joint.  With f_u(x) = sum_n c_n*exp(i*theta*u*n)*<x|n>,
+    a joint's density is sum_u w_u*|f_u(x)|^2, w_u = sum_{occ: net=u} |d_occ|^2.
+    Joints on equal grids (linspace: equal ends and size) share one pass of the
+    recursion, which sums the probe once for each net of theirs."""
     groups: dict[tuple, tuple[np.ndarray, list]] = {}
     out = []
-    for _, nets, joint in joints:
+    for _, nets, amps in joints:
         centers = 2.0 * cfg.alpha * np.cos(cfg.theta * nets)
         xs = uniform_grid(centers.tolist(), cfg.grid_step)
         p = np.empty(xs.size)
         out.append((xs, p))
-        groups.setdefault((xs[0], xs[-1], xs.size), (xs, []))[1].append((joint, p))
+        w_net = {u: float(np.sum(np.abs(amps[nets == u]) ** 2)) for u in sorted(set(nets.tolist()))}
+        groups.setdefault((xs[0], xs[-1], xs.size), (xs, []))[1].append((w_net, p))
     for xs, members in groups.values():
-        for lo in range(0, xs.size, _BLOCK):
-            psi = quadrature_wavefunctions(xs[lo : lo + _BLOCK], cfg.resolved_n_max)
-            for joint, p in members:
-                # psi is real: two real products avoid a complex copy of it.
-                re, im = joint.real @ psi, joint.imag @ psi
-                p[lo : lo + _BLOCK] = np.sum(re * re + im * im, axis=0)
+        used = sorted({u for w_net, _ in members for u in w_net})
+        sq = _probe_sums(xs, np.concatenate([probes[u] for u in used]))
+        sq *= sq
+        mags = dict(zip(used, sq[0::2] + sq[1::2]))
+        for w_net, p in members:
+            p[:] = sum(w * mags[u] for u, w in w_net.items())
     return out
 
 
+def _probe_values(xs, probes: dict[int, np.ndarray], n_max: int) -> dict[int, np.ndarray]:
+    """Net u -> f_u at each of xs.  Each value is one pairwise sum of a probe row
+    times a table column, so it does not depend on the other nets or points,
+    and a single-state call gives the same bits as a call for several."""
+    psi = quadrature_wavefunctions(np.asarray(xs, dtype=float), n_max)
+    cols = [psi[:, j] for j in range(psi.shape[1])]
+    return {
+        u: np.array([complex(*np.add.reduce(rows * col, axis=1)) for col in cols])
+        for u, rows in probes.items()
+    }
+
+
 def _conditionals(
-    joint_amps: tuple, cfg: OracleConfig, xs, psi: np.ndarray, convention: str
+    joint_amps: tuple, cfg: OracleConfig, xs, f: dict[int, np.ndarray], convention: str
 ) -> list[SpatialFockState]:
-    """Conditional states of a joint state at each x in xs, psi being the table at xs."""
+    """Conditional states d_occ*f_net(x) of a joint state at each x in xs, f
+    being the probe sums at xs."""
     if convention not in ("analytic", "fock"):
         raise ValueError(f"convention must be 'analytic' or 'fock', got {convention!r}")
-    occs, nets, joint = joint_amps
+    occs, nets, amps = joint_amps
     bridge = np.exp(-0.5j * cfg.alpha**2 * np.sin(2.0 * cfg.theta * nets))
+    at_x = np.stack([f[u] for u in nets.tolist()])  # occupation x point
     out = []
     for j, x in enumerate(xs):
-        amps = joint @ psi[:, j].astype(complex)
+        cond = amps * at_x[:, j]
         if convention == "analytic":
-            amps = amps * bridge
-        nsq = float(np.sum(np.abs(amps) ** 2))
+            cond = cond * bridge
+        nsq = float(np.sum(np.abs(cond) ** 2))
         if nsq < 1e-300:
             raise ZeroDensity(f"conditional density at x={x!r} is numerically zero")
         scale = 1.0 / math.sqrt(nsq)
-        state = {occ: complex(a) * scale for occ, a in zip(occs, amps)}
+        state = {occ: complex(a) * scale for occ, a in zip(occs, cond)}
         out.append(SpatialFockState(state))
     return out
 
@@ -189,12 +251,14 @@ def full_fock_reference(
     xs: tuple[float, ...],
     convention: str = "analytic",
 ) -> list[tuple[np.ndarray, np.ndarray, list[SpatialFockState]]]:
-    """(grid, density, conditional states at each of xs) for each state.  Each joint
-    state is built once, and states share the table at xs and equal grids' blocks."""
-    joints = [_joint_amplitudes(s, cfg, weights) for s in states]
-    psi = quadrature_wavefunctions(np.asarray(xs, dtype=float), cfg.resolved_n_max)
-    conds = [_conditionals(j, cfg, xs, psi, convention) for j in joints]
-    return [(grid, p, c) for (grid, p), c in zip(_densities(joints, cfg), conds)]
+    """(grid, density, conditional states at each of xs) for each state.  The probe
+    rows are built once for every net of the states, one table at xs serves every
+    state's conditionals, and states on equal grids share one pass of the recursion."""
+    joints = [_joint_amplitudes(s, weights) for s in states]
+    probes = _probe_rows(joints, cfg)
+    f = _probe_values(xs, probes, cfg.resolved_n_max)
+    conds = [_conditionals(j, cfg, xs, f, convention) for j in joints]
+    return [(grid, p, c) for (grid, p), c in zip(_densities(joints, cfg, probes), conds)]
 
 
 def full_fock_density(
@@ -203,7 +267,8 @@ def full_fock_density(
     weights: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact homodyne density of the truncated joint state, tabulated on a grid."""
-    return _densities([_joint_amplitudes(s, cfg, weights)], cfg)[0]
+    joints = [_joint_amplitudes(s, weights)]
+    return _densities(joints, cfg, _probe_rows(joints, cfg))[0]
 
 
 def full_fock_collapse(
@@ -219,5 +284,6 @@ def full_fock_collapse(
     b = alpha*exp(i*theta*net_weight), matching the coherent-overlap phase
     convention of the pointer module; "fock" leaves the raw expansion.
     """
-    psi = quadrature_wavefunctions(np.asarray([float(x)]), cfg.resolved_n_max)
-    return _conditionals(_joint_amplitudes(s, cfg, weights), cfg, [x], psi, convention)[0]
+    joint = _joint_amplitudes(s, weights)
+    f = _probe_values([float(x)], _probe_rows([joint], cfg), cfg.resolved_n_max)
+    return _conditionals(joint, cfg, [x], f, convention)[0]

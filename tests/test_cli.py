@@ -34,6 +34,17 @@ class TestValidation:
         with pytest.raises(InvalidSpec):
             run(_spec(command="symmetry", trials=0))
 
+    @pytest.mark.parametrize("out", ["new/a\0b.json", "new/\ud800.json"])
+    def test_out_the_system_cannot_name_is_refused_before_the_campaign(
+        self, tmp_path, monkeypatch, out
+    ):
+        # Only the Python API can pass an embedded NUL or a lone surrogate; the
+        # refusal comes from validate, before any trial runs or directory is made.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(InvalidSpec, match="^(out must name a file|cannot use out)"):
+            run(ExperimentSpec(command="bell", trials=1, out=out))
+        assert not any(tmp_path.rglob("*"))
+
     def test_bad_theta(self):
         with pytest.raises(InvalidSpec):
             run(_spec(command="symmetry", theta=2.0))
@@ -503,12 +514,14 @@ class TestMainEntry:
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("as_dir", [False, True])
     def test_exit_two_when_out_names_no_file(self, tmp_path, monkeypatch, capsys, command, as_dir):
-        # Without as_dir, out has no name or lies under a regular file; with it,
-        # a directory stands where the report or its sidecar CSV would go.  Only
-        # the sidecar is found at the write; nothing may be written either way.
+        # Without as_dir, out has no name or lies under a regular file or a
+        # dangling symlink; with it, a directory stands where the report or its
+        # sidecar CSV would go.  Only the sidecar is found at the write, after
+        # the campaign; nothing may be written either way.
         directory, regular = tmp_path / "d", tmp_path / "f"
         directory.mkdir()
         regular.write_text("")
+        (tmp_path / "link").symlink_to(tmp_path / "nowhere")
         sidecar = {"symmetry": "r_density.csv", "demo2mode": "r_density.csv", "sweep": "r_sweep.csv"}
         if as_dir:
             outs = [directory]
@@ -516,13 +529,15 @@ class TestMainEntry:
                 (directory / sidecar[command]).mkdir()
                 outs.append(directory / "r.json")
         else:
-            outs = ["", regular / "x.json", regular / "sub" / "x.json"]
+            outs = ["", regular / "x.json", regular / "sub" / "x.json", "link/r.json"]
         monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.rglob("*"))
         argv = [command, "--trials", "1"] + (["--alpha", "2"] if command == "oracle-check" else [])
         for out in outs:
             assert main(argv + ["--out", str(out)]) == 2, out
-            assert capsys.readouterr().err.startswith("error: ")
+            late = as_dir and out != directory
+            err = capsys.readouterr().err
+            assert err.startswith("error: " if late else "error: out must name a file"), err
             assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command, refused", [("symmetry", "r_density.csv"), ("bell", "r.json")])

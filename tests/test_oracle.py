@@ -28,7 +28,7 @@ from kerrbell import (
     two_mode_pointer,
     x_overlap,
 )
-from kerrbell.oracle import _BLOCK
+from kerrbell.oracle import _BLOCK, _CHUNK, _wavefunction_chunks
 
 
 def _split_bell(label):
@@ -90,6 +90,20 @@ class TestQuadratureWavefunctions:
                 - math.sqrt((n - 1.0) / n) * expected[n - 2]
             )
         assert np.array_equal(quadrature_wavefunctions(xs, 76), expected)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 2, 76])
+    def test_streamed_chunks_are_the_table_rows(self, n_max):
+        # The density pass streams the recursion block by block; the table is
+        # gathered from the same chunks, so both must agree bit for bit.
+        xs = np.linspace(-30.0, 30.0, _BLOCK + 1001)
+        psi = quadrature_wavefunctions(xs, n_max)
+        for lo in range(0, xs.size, _BLOCK):
+            starts = []
+            for n, rows in _wavefunction_chunks(xs[lo : lo + _BLOCK], n_max):
+                starts.append(n)
+                assert np.array_equal(rows, psi[n : n + len(rows), lo : lo + _BLOCK])
+            assert starts == list(range(0, n_max + 1, _CHUNK))
+            assert n + len(rows) == n_max + 1
 
     def test_orthonormality(self):
         xs = np.linspace(-25.0, 25.0, 5001)
@@ -163,6 +177,22 @@ class TestDensity:
             tracemalloc.stop()
         assert xs.size > 150_000
         assert peak < 32 * 2**20
+
+    def test_reference_memory_at_the_benchmark_size(self):
+        # The four Bell splits at alpha 4 on the benchmark's 0.002 grid step: two
+        # grids of 8001 points, 77 rows each.  Tabulating the wavefunctions in
+        # blocks of 2048 points, with a joint row per occupation, peaked at
+        # 3245946 bytes (3.10 MiB) in this test; streaming them needs about 2 MiB.
+        cfg = OracleConfig(alpha=4.0, theta=math.pi / 4, grid_step=0.002)
+        states = [_split_bell(label) for label in BellLabel]
+        tracemalloc.start()
+        try:
+            refs = full_fock_reference(states, cfg, ANALYZER_WEIGHTS, (0.0, 4.0, 8.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [grid.size for grid, _, _ in refs] == [8001] * 4
+        assert peak < 2.75 * 2**20
 
     def test_n_max_convergence(self):
         base = OracleConfig(alpha=2.0, theta=0.3)

@@ -1,9 +1,11 @@
 """Property tests: the closed-form analyzer against its reference pipeline, and
 the CLI's exit codes at the edges of the parameter domain."""
 
+import cmath
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -11,14 +13,17 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from kerrbell import (
+    ANALYZER_WEIGHTS,
     AnalyzerConfig,
     BellLabel,
     Classification,
     DetectionPolicy,
+    OracleConfig,
+    SpatialFockState,
     TwoQubitState,
     ZeroDensity,
     apply_beam_splitter,
@@ -28,11 +33,15 @@ from kerrbell import (
     bell_state,
     classify,
     collapse,
+    embed,
     extract,
     fidelity,
+    full_fock_collapse,
+    full_fock_reference,
     kraus,
     overlap,
     phase_phi,
+    quadrature_wavefunctions,
     run_symmetry_analyzer,
     sample_outcome,
     shot,
@@ -398,3 +407,55 @@ def test_main_keeps_the_exit_code_contract_with_inputs_and_out(tmp_path_factory,
                           if n not in FLAGS)
             want = ExperimentSpec(command=command, trials=trials, out=out, **fields)
             assert report["spec"] == json.loads(json.dumps(vars(want)))
+
+
+# The ten occupations of two photons in four modes.
+TWO_PHOTONS = [o for o in itertools.product(range(3), repeat=4) if sum(o) == 2]
+
+
+@st.composite
+def two_photon_states(draw):
+    """A normalized state over a nonempty subset of the two-photon occupations."""
+    occs = draw(st.lists(st.sampled_from(TWO_PHOTONS), min_size=1, max_size=10, unique=True))
+    parts = st.floats(min_value=-1.0, max_value=1.0)
+    amps = [complex(draw(parts), draw(parts)) for _ in occs]
+    nsq = sum(abs(a) ** 2 for a in amps)
+    assume(nsq > 1e-6)
+    return SpatialFockState({o: a / math.sqrt(nsq) for o, a in zip(occs, amps)})
+
+
+@settings(deadline=None, max_examples=50, derandomize=True)
+@given(
+    theta=st.floats(min_value=1e-3, max_value=math.pi / 4.0),
+    alpha=st.floats(min_value=0.5, max_value=4.0),
+    extra=st.lists(two_photon_states(), min_size=1, max_size=3),
+)
+def test_per_net_probe_sums_match_the_per_occupation_sum(theta, alpha, extra):
+    # The oracle sums the probe once per net weight; the direct sum over
+    # occupations of |(d*c*exp(i*theta*net*n)) @ psi|^2 is the same algebra, and
+    # so are the conditionals from those joint rows, rotated by the bridge phase.
+    cfg = OracleConfig(alpha=alpha, theta=theta)
+    states = [apply_beam_splitter(embed(bell_state(label))) for label in BellLabel] + extra
+    acfg = AnalyzerConfig(theta=theta, alpha=alpha)
+    xs = (acfg.bunched_peak, acfg.threshold, acfg.balanced_peak)
+    n_max = cfg.resolved_n_max
+    n = np.arange(n_max + 1)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    c = np.exp(n * math.log(alpha) - 0.5 * log_fact - alpha * alpha / 2.0)
+    for s, (grid, density, conditionals) in zip(
+        states, full_fock_reference(states, cfg, ANALYZER_WEIGHTS, xs)
+    ):
+        occs = list(s.amplitudes)
+        nets = [sum(w * k for w, k in zip(ANALYZER_WEIGHTS, occ)) for occ in occs]
+        joint = [s.amplitudes[o] * c * np.exp(1j * theta * u * n) for o, u in zip(occs, nets)]
+        psi = quadrature_wavefunctions(grid, n_max)
+        direct = sum(np.abs(row @ psi) ** 2 for row in joint)
+        assert np.max(np.abs(density - direct)) <= 1e-14
+        psi_xs = quadrature_wavefunctions(np.asarray(xs), n_max)
+        for j, (x, got) in enumerate(zip(xs, conditionals)):
+            bridged = {
+                o: (row @ psi_xs[:, j]) * cmath.exp(-0.5j * alpha**2 * math.sin(2.0 * theta * u))
+                for o, u, row in zip(occs, nets, joint)
+            }
+            assert got.fidelity(SpatialFockState.normalized(bridged)) >= 1.0 - 1e-13
+            assert got.fidelity(full_fock_collapse(s, cfg, ANALYZER_WEIGHTS, x)) >= 1.0 - 1e-13
