@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, ZeroDensity
 from .fock_core import (
     NORM_TOL,
     PRUNE_TOL,
@@ -212,11 +212,15 @@ def two_mode_fidelity(a: Amps, b: Amps) -> float:
     return min(1.0, abs(ov) ** 2)
 
 
+def split_pointer(s: SpatialFockState, cfg: AnalyzerConfig) -> PointerDecomposition:
+    """Probe-attached state of the four-mode analyzer just before homodyning,
+    from its input already through the beam splitters."""
+    return apply_cross_kerr(attach_probe(s, cfg.alpha), ANALYZER_WEIGHTS, cfg.theta)
+
+
 def symmetry_pointer(q: TwoQubitState, cfg: AnalyzerConfig) -> PointerDecomposition:
     """Probe-attached state of the four-mode analyzer just before homodyning."""
-    s = apply_beam_splitter(embed(q))
-    pd = attach_probe(s, cfg.alpha)
-    return apply_cross_kerr(pd, ANALYZER_WEIGHTS, cfg.theta)
+    return split_pointer(apply_beam_splitter(embed(q)), cfg)
 
 
 def _singlet_amplitude(amps: Amps) -> complex:
@@ -232,6 +236,8 @@ def _project(amps: Amps, c: complex, g_s: float, g_t: float) -> Amps:
     d = (g_s - g_t) * c * _R
     a0, a1, a2, a3 = g_t * amps[0], g_t * amps[1] + d, g_t * amps[2] - d, g_t * amps[3]
     norm = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2)
+    if norm == 0.0:  # both weights underflow: an outcome far from both peaks
+        raise ZeroDensity("the analyzer's outcome density is numerically zero")
     return a0 / norm, a1 / norm, a2 / norm, a3 / norm
 
 
@@ -241,7 +247,9 @@ def kraus(q: TwoQubitState, x: float, cfg: AnalyzerConfig) -> TwoQubitState:
     Embed, beam splitter, probe, cross-Kerr, collapse at x, the correction
     exp(-i*phi(x)*n_arm1), recombination and extract together act as
     K(x) = (2*pi)**-0.25 * [g(x - 2*alpha)*P_S + g(x - 2*alpha*cos(2*theta))*P_T]
-    up to a global phase, with g(u) = exp(-u**2/4).
+    up to a global phase, with g(u) = exp(-u**2/4).  Raises ZeroDensity, as
+    pointer.collapse does, at an outcome so far from both peaks that both
+    weights underflow.
     """
     return TwoQubitState(
         _project(q.amps, _singlet_amplitude(q.amps), *_kraus_weights(x, cfg))
@@ -263,9 +271,10 @@ def shot(
     sector's peak to give x (see sample_outcome), singlet means a Balanced
     classify(x), and post is K(x) amps normalized (see kraus).
 
-    run_symmetry_analyzer calls it once; symmetry_campaign and
-    bell_detector.bell_detect inline it, and it is the bit-exact reference
-    of both loops.
+    run_symmetry_analyzer calls it once, and bell_detector.bell_detect
+    inlines it bit for bit.  symmetry_campaign repeats its draws and its
+    singlet decision bit for bit, but takes the fidelity of post with amps
+    in closed form, so shot is the reference of that sum to rounding only.
     """
     c = _singlet_amplitude(amps)
     p_s = abs(c) ** 2
@@ -286,44 +295,43 @@ def symmetry_campaign(
     trials: int,
     ideal: bool,
 ) -> tuple[int, float]:
-    """(Singlet count, sum of fidelity_amps(post, amps)) over `trials` shots.
+    """(Singlet count, sum of the post states' fidelities with amps) over
+    `trials` shots.
 
-    Bit for bit the loop of shot(amps, cfg, rng, ideal) followed by
-    fidelity_amps(post, amps), with the same draws: c, |c|^2, the input's
-    amplitudes and the operating point are read once, and each trial runs
-    the float operations of shot, _kraus_weights, _project and fidelity_amps
-    inline, in the same order.  A regrouped product such as
-    (g_s - g_t) * (c * _R) would change the last bits, and so the reports.
+    The draws and the count are bit for bit those of shot(amps, cfg, rng,
+    ideal) in a loop.  The fidelity is not built from a post state: K(x)amps =
+    g_t*amps + (g_s - g_t)*c*|PsiMinus> depends on amps only through
+    p_s = |c|^2, so fidelity_amps(post, amps) is
+    F = (g_t*p_t + g_s*p_s)**2 / (g_t**2*p_t + g_s**2*p_s), p_t = 1 - p_s,
+    which agrees with the post-state route to rounding.  With ideal=True, F
+    is p_s on a Singlet and p_t on a Triplet.  The draws compare against
+    |c|^2 as shot does; F reads it clamped to 1, so p_t >= 0 and a draw
+    only lands on a peak whose sector F weighs above 0.
     """
-    h0, h1, h2, h3 = amps
-    r = _R
-    c = r * h1 - r * h2
-    p_s = abs(c) ** 2
-    balanced, bunched, threshold = cfg.balanced_peak, cfg.bunched_peak, cfg.threshold
-    random, normal, exp, sqrt = rng.random, rng.standard_normal, math.exp, math.sqrt
+    p_s = abs(_singlet_amplitude(amps)) ** 2
+    w_s = p_s if p_s < 1.0 else 1.0  # F's sector weights
+    w_t = 1.0 - w_s
+    random = rng.random
     n_singlet = 0
     fid_sum = 0.0
-    for _ in range(trials):
-        if ideal:
+    if ideal:
+        for _ in range(trials):
             singlet = random() < p_s
-            g_s, g_t = float(singlet), float(not singlet)
-        else:
-            x = (bunched if random() >= p_s else balanced) + normal()
-            singlet = x >= threshold
-            u_b = x - balanced
-            u_t = x - bunched
-            g_s = exp(-u_b * u_b / 4.0)
-            g_t = exp(-u_t * u_t / 4.0)
-        d = (g_s - g_t) * c * r
-        a0, a1, a2, a3 = g_t * h0, g_t * h1 + d, g_t * h2 - d, g_t * h3
-        norm = sqrt(abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2)
-        ov = (
-            (a0 / norm).conjugate() * h0
-            + (a1 / norm).conjugate() * h1
-            + (a2 / norm).conjugate() * h2
-        )
-        fid = abs(ov + (a3 / norm).conjugate() * h3) ** 2
-        n_singlet += singlet
+            n_singlet += singlet
+            fid_sum += w_s if singlet else w_t
+        return n_singlet, fid_sum
+    balanced, bunched, threshold = cfg.balanced_peak, cfg.bunched_peak, cfg.threshold
+    normal, exp = rng.standard_normal, math.exp
+    for _ in range(trials):
+        x = (bunched if random() >= p_s else balanced) + normal()
+        n_singlet += x >= threshold
+        u_b = x - balanced
+        u_t = x - bunched
+        g_s = exp(-u_b * u_b / 4.0)
+        g_t = exp(-u_t * u_t / 4.0)
+        a_s, a_t = g_s * w_s, g_t * w_t
+        ov = a_s + a_t  # <amps|K(x)amps>
+        fid = ov * ov / (g_s * a_s + g_t * a_t)
         fid_sum += fid if fid < 1.0 else 1.0  # min(1.0, fid), NaN included
     return n_singlet, fid_sum
 

@@ -38,6 +38,7 @@ from .analyzers import (
     check_domain,
     error_probability,
     sample_outcome,
+    split_pointer,
     symmetry_campaign,
     symmetry_pointer,
     two_mode_amps,
@@ -419,8 +420,8 @@ def _run_oracle_check(spec: ExperimentSpec, cfg: AnalyzerConfig) -> dict:
     details = []
     xs = (cfg.bunched_peak, cfg.threshold, cfg.balanced_peak)
     refs = full_fock_reference(_BELL_SPLITS, ocfg, ANALYZER_WEIGHTS, xs)
-    for (name, (_, q)), (grid, p_oracle, conditionals) in zip(_BELL_INPUTS.items(), refs):
-        pd = symmetry_pointer(q, cfg)
+    for name, s, (grid, p_oracle, conditionals) in zip(_BELL_INPUTS, _BELL_SPLITS, refs):
+        pd = split_pointer(s, cfg)
         density_dev = float(np.max(np.abs(p_oracle - homodyne_density(pd, grid))))
         collapse_dev = max(1.0 - collapse(pd, x).fidelity(ref) for x, ref in zip(xs, conditionals))
         details.append(

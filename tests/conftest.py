@@ -24,3 +24,17 @@ def random_triplet(rng: np.random.Generator) -> TwoQubitState:
 def random_state(rng: np.random.Generator) -> TwoQubitState:
     c = rng.normal(size=4) + 1j * rng.normal(size=4)
     return TwoQubitState.normalized(c)
+
+
+class FixedDraws:
+    """Stands in for a Generator: every random() and standard_normal() returns
+    the given value."""
+
+    def __init__(self, u: float, z: float) -> None:
+        self.u, self.z = u, z
+
+    def random(self) -> float:
+        return self.u
+
+    def standard_normal(self) -> float:
+        return self.z

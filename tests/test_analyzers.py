@@ -22,23 +22,9 @@ from kerrbell import (
     two_mode_input,
     two_mode_shot,
 )
-from kerrbell.analyzers import DEMO_OCCUPATIONS, _kraus_weights, two_mode_amps
+from kerrbell.analyzers import DEMO_OCCUPATIONS, _kraus_weights, symmetry_campaign, two_mode_amps
 from kerrbell.fock_core import normalized_amps
-from conftest import random_state, random_triplet
-
-
-class FixedDraws:
-    """Stands in for a Generator: every random() and standard_normal() returns
-    the given value."""
-
-    def __init__(self, u: float, z: float) -> None:
-        self.u, self.z = u, z
-
-    def random(self) -> float:
-        return self.u
-
-    def standard_normal(self) -> float:
-        return self.z
+from conftest import FixedDraws, random_state, random_triplet
 
 
 class TestPhasePhi:
@@ -308,6 +294,28 @@ class TestSymmetryAnalyzer:
         amps = random_state(np.random.default_rng(3)).amps
         singlet, _ = shot(amps, cfg, FixedDraws(0.999999, z))
         assert singlet
+
+    @pytest.mark.parametrize(
+        "theta, alpha",
+        [(0.1, math.sqrt(1.3e4)), (0.3, 1.5 / 0.09), (math.pi / 4.0, 1e3), (0.3, 5.0)],
+    )
+    def test_campaign_mean_fidelity_matches_its_exact_value(self, theta, alpha):
+        # E[F] = integral of |<q|K(x)q>|^2 dx = p_S^2 + p_T^2 + 2*p_S*p_T*exp(-delta^2/8),
+        # delta = 4*alpha*sin(theta)^2 the peak separation.  The campaign runs in
+        # batches so that the batch means give a sample standard error.
+        cfg = AnalyzerConfig(theta=theta, alpha=alpha)
+        amps = normalized_amps([0.3, 0.5, 0.2, 0.7])
+        p_s = abs((amps[1] - amps[2]) / math.sqrt(2.0)) ** 2
+        delta = 4.0 * alpha * math.sin(theta) ** 2
+        exact = p_s**2 + (1.0 - p_s) ** 2 + 2.0 * p_s * (1.0 - p_s) * math.exp(-delta**2 / 8.0)
+        rng = np.random.default_rng(2026)
+        batches, per_batch = 100, 1000
+        means = [
+            symmetry_campaign(amps, cfg, rng, per_batch, False)[1] / per_batch
+            for _ in range(batches)
+        ]
+        stderr = float(np.std(means, ddof=1)) / math.sqrt(batches)
+        assert abs(float(np.mean(means)) - exact) <= 6.0 * stderr
 
     def test_ideal_mode_projects_exactly(self, rng):
         cfg = AnalyzerConfig(theta=0.1, alpha=10.0)
