@@ -9,11 +9,13 @@ the pointer algebra.
 
 The joint coefficient d_occ*c_n*exp(i*theta*net*n) depends on the occupation
 only through its amplitude d_occ and net weight, so the probe is summed once
-per net: f_net(x) = sum_n c_n*exp(i*theta*net*n)*<x|n>.  A density is
-sum_net w_net*|f_net(x)|^2, w_net being the signal weight at that net, and a
-conditional state at x is d_occ*f_net(x) up to its norm.  The wavefunctions
-<x|n> are never tabulated over a density grid: the recursion streams them in
-chunks of _CHUNK rows, each folded into the sums by one matrix product.
+per |net|: f_net(x) = sum_n c_n*exp(i*theta*net*n)*<x|n>, and c_n and <x|n>
+are real, so f_-net = conj(f_net).  A density is sum_net w_net*|f_net(x)|^2,
+w_net being the signal weight at that net, and a conditional state at x is
+d_occ*f_net(x) up to its norm.  The wavefunctions <x|n> are never tabulated
+over a density grid: the recursion streams them in chunks of _CHUNK rows,
+each folded into the sums by one matrix product, and the collapse points
+ride at the end of a density grid, their columns copied out of the chunks.
 
 Phase conventions: the number-basis expansion of a coherent state yields
 quadrature phases Im(beta)*(x - Re(beta)), whereas the analytic overlap used
@@ -34,7 +36,7 @@ import numpy as np
 from .analyzers import check_domain
 from .errors import TruncationOverflow, ZeroDensity
 from .fock_core import SpatialFockState
-from .pointer import uniform_grid
+from .pointer import grid_windows
 
 _TAIL_TOL = 1e-12
 _BLOCK = 16384  # grid points per pass of the recursion; only larger grids are split
@@ -104,16 +106,20 @@ def _wavefunction_chunks(xs: np.ndarray, n_max: int):
 
     <x|0> = (2*pi)**-0.25 * exp(-x**2/4), the beta = 0 limit of the coherent
     overlap; higher n follow the stable two-term recursion of the normalized
-    Hermite functions evaluated at x/sqrt2, each row written in place.  rows
-    is a view into one buffer that the next step overwrites: the chunk sits
-    after the two rows before it, which seed the recursion.
+    Hermite functions evaluated at x/sqrt2.  Every row, <x|0> and <x|1>
+    included, is written in place, one operation at a time.  rows is a view
+    into one buffer that the next step overwrites: the chunk sits after the
+    two rows before it, which seed the recursion.
     """
     z = xs / math.sqrt(2.0)
     buf = np.empty((_CHUNK + 2, xs.size))
     tmp = np.empty(xs.size)
-    buf[2] = (2.0 * math.pi) ** -0.25 * np.exp(-xs * xs / 4.0)
-    if n_max >= 1:
-        buf[3] = math.sqrt(2.0) * z * buf[2]
+    psi0 = np.multiply(np.negative(xs, out=buf[2]), xs, out=buf[2])  # -x*x
+    np.exp(np.divide(psi0, 4.0, out=psi0), out=psi0)
+    psi0 *= (2.0 * math.pi) ** -0.25
+    if n_max >= 1:  # sqrt(2)*z*psi[0]
+        np.multiply(math.sqrt(2.0), z, out=buf[3])
+        buf[3] *= psi0
     for n0 in range(0, n_max + 1, _CHUNK):
         m = min(_CHUNK, n_max + 1 - n0)
         for k in range(2 if n0 else 4, m + 2):  # buf[k] holds row n0 + k - 2
@@ -161,63 +167,81 @@ def _joint_amplitudes(
 
 
 def _probe_rows(joints: list, cfg: OracleConfig) -> dict[int, np.ndarray]:
-    """Net u -> real rows [Re; Im] of the probe c_n*exp(i*theta*u*n), n = 0..n_max,
-    for every distinct net of the joints."""
+    """|u| -> real rows [Re; Im] of the probe c_n*exp(i*theta*|u|*n), n = 0..n_max,
+    for every distinct |net| u of the joints.  c_n and <x|n> are real, so the
+    rows of -u are [Re; -Im]: f_-u = conj(f_u), and |f_-u|^2 equals |f_u|^2."""
     c = _coherent_coefficients(cfg.alpha, cfg.resolved_n_max)
     n = np.arange(cfg.resolved_n_max + 1)
-    nets = sorted({u for _, js, _ in joints for u in js.tolist()})
+    nets = sorted({abs(u) for _, js, _ in joints for u in js.tolist()})
     probes = c * np.exp(1j * cfg.theta * np.outer(nets, n))
     return {u: np.stack((p.real, p.imag)) for u, p in zip(nets, probes)}
 
 
-def _probe_sums(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """rows @ <x|n> over n = 0..len(rows[0]) - 1 at xs, folded chunk by chunk as
-    the recursion streams, in blocks of at most _BLOCK grid points."""
+def _probe_sums(xs: np.ndarray, rows: np.ndarray, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows @ <x|n> over n = 0..len(rows[0]) - 1 at xs, the table <x|n> at the
+    last n_points of xs), both from one stream of the recursion over xs in
+    blocks of at most _BLOCK points."""
+    n_max = rows.shape[1] - 1
     out = np.zeros((len(rows), xs.size))
+    table = np.empty((n_max + 1, n_points))
+    first = xs.size - n_points
     for lo in range(0, xs.size, _BLOCK):
-        acc = out[:, lo : lo + _BLOCK]
+        hi = min(lo + _BLOCK, xs.size)
+        acc = out[:, lo:hi]
         tmp = np.empty_like(acc)
-        for n, psi in _wavefunction_chunks(xs[lo : lo + _BLOCK], rows.shape[1] - 1):
+        at = max(first, lo)  # the block's first tabulated point
+        for n, psi in _wavefunction_chunks(xs[lo:hi], n_max):
             acc += np.matmul(rows[:, n : n + len(psi)], psi, out=tmp)
-    return out
+            if at < hi:
+                table[n : n + len(psi), at - first : hi - first] = psi[:, at - lo :]
+    return out, table
 
 
-def _densities(
-    joints: list, cfg: OracleConfig, probes: dict[int, np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(grid, density) per joint.  With f_u(x) = sum_n c_n*exp(i*theta*u*n)*<x|n>,
-    a joint's density is sum_u w_u*|f_u(x)|^2, w_u = sum_{occ: net=u} |d_occ|^2.
-    Joints on equal grids (linspace: equal ends and size) share one pass of the
-    recursion, which sums the probe once for each net of theirs."""
-    groups: dict[tuple, tuple[np.ndarray, list]] = {}
-    out = []
-    for _, nets, amps in joints:
-        centers = 2.0 * cfg.alpha * np.cos(cfg.theta * nets)
-        xs = uniform_grid(centers.tolist(), cfg.grid_step)
-        p = np.empty(xs.size)
-        out.append((xs, p))
-        w_net = {u: float(np.sum(np.abs(amps[nets == u]) ** 2)) for u in sorted(set(nets.tolist()))}
-        groups.setdefault((xs[0], xs[-1], xs.size), (xs, []))[1].append((w_net, p))
-    for xs, members in groups.values():
-        used = sorted({u for w_net, _ in members for u in w_net})
-        sq = _probe_sums(xs, np.concatenate([probes[u] for u in used]))
-        sq *= sq
-        mags = dict(zip(used, sq[0::2] + sq[1::2]))
-        for w_net, p in members:
-            p[:] = sum(w * mags[u] for u, w in w_net.items())
-    return out
-
-
-def _probe_values(xs, probes: dict[int, np.ndarray], n_max: int) -> dict[int, np.ndarray]:
-    """Net u -> f_u at each of xs.  Each value is one pairwise sum of a probe row
+def _probe_pass(
+    joints: list, cfg: OracleConfig, xs, densities: bool = True
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[int, np.ndarray]]:
+    """((grid, density) per joint, net u -> f_u at each of xs).  A joint's density
+    is sum_u w_u*|f_u(x)|^2 over its nets in order, w_u = sum_{occ: net=u}
+    |d_occ|^2.  Joints on equal grids (equal `grid_windows`) share one grid
+    array and one pass of the recursion, which sums the probe once for each
+    |u| of theirs.  xs ride at the end of the first pass's grid, or alone
+    without densities.  Each f_u at xs is one pairwise sum of a probe row
     times a table column, so it does not depend on the other nets or points,
     and a single-state call gives the same bits as a call for several."""
-    psi = quadrature_wavefunctions(np.asarray(xs, dtype=float), n_max)
-    cols = [psi[:, j] for j in range(psi.shape[1])]
-    return {
+    if not joints:
+        return [], {}
+    probes = _probe_rows(joints, cfg)
+    points = np.asarray(xs, dtype=float)
+    groups: dict[tuple, list] = {} if densities else {(): []}  # (): the points alone
+    for j, (_, nets, amps) in enumerate(joints if densities else ()):
+        centers = 2.0 * cfg.alpha * np.cos(cfg.theta * nets)
+        w_net = {u: float(np.sum(np.abs(amps[nets == u]) ** 2)) for u in sorted(set(nets.tolist()))}
+        groups.setdefault(grid_windows(centers.tolist(), cfg.grid_step), []).append((j, w_net))
+    out: list = [None] * len(joints)
+    table = None
+    for windows, members in groups.items():
+        carried = points if table is None else points[:0]
+        grid = np.concatenate([np.linspace(*w) for w in windows] + [carried])
+        size = grid.size - carried.size
+        used = sorted({abs(u) for _, w_net in members for u in w_net}) or list(probes)
+        sq, t = _probe_sums(grid, np.concatenate([probes[u] for u in used]), carried.size)
+        table = t if table is None else table
+        sq *= sq
+        sq[0::2] += sq[1::2]
+        mags = dict(zip(used, sq[0::2, :size]))
+        for j, w_net in members:
+            (u0, w0), *rest = w_net.items()
+            p = w0 * mags[abs(u0)]
+            for u, w in rest:
+                p += w * mags[abs(u)]
+            out[j] = (grid[:size], p)
+        del sq, mags  # before the next group's pass
+    cols = [table[:, j] for j in range(points.size)]
+    f = {
         u: np.array([complex(*np.add.reduce(rows * col, axis=1)) for col in cols])
         for u, rows in probes.items()
     }
+    return out, {**f, **{-u: fu.conj() for u, fu in f.items()}}
 
 
 def _conditionals(
@@ -252,13 +276,13 @@ def full_fock_reference(
     convention: str = "analytic",
 ) -> list[tuple[np.ndarray, np.ndarray, list[SpatialFockState]]]:
     """(grid, density, conditional states at each of xs) for each state.  The probe
-    rows are built once for every net of the states, one table at xs serves every
-    state's conditionals, and states on equal grids share one pass of the recursion."""
+    rows are built once for every |net| of the states, states on equal grids
+    share one pass of the recursion, and the table at xs that serves every
+    state's conditionals comes out of the first pass."""
     joints = [_joint_amplitudes(s, weights) for s in states]
-    probes = _probe_rows(joints, cfg)
-    f = _probe_values(xs, probes, cfg.resolved_n_max)
+    dens, f = _probe_pass(joints, cfg, xs)
     conds = [_conditionals(j, cfg, xs, f, convention) for j in joints]
-    return [(grid, p, c) for (grid, p), c in zip(_densities(joints, cfg, probes), conds)]
+    return [(grid, p, c) for (grid, p), c in zip(dens, conds)]
 
 
 def full_fock_density(
@@ -267,8 +291,7 @@ def full_fock_density(
     weights: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact homodyne density of the truncated joint state, tabulated on a grid."""
-    joints = [_joint_amplitudes(s, weights)]
-    return _densities(joints, cfg, _probe_rows(joints, cfg))[0]
+    return _probe_pass([_joint_amplitudes(s, weights)], cfg, ())[0][0]
 
 
 def full_fock_collapse(
@@ -285,5 +308,5 @@ def full_fock_collapse(
     convention of the pointer module; "fock" leaves the raw expansion.
     """
     joint = _joint_amplitudes(s, weights)
-    f = _probe_values([float(x)], _probe_rows([joint], cfg), cfg.resolved_n_max)
+    f = _probe_pass([joint], cfg, [float(x)], densities=False)[1]
     return _conditionals(joint, cfg, [x], f, convention)[0]

@@ -127,37 +127,66 @@ def homodyne_density(pd: PointerDecomposition, x):
     """Probability density of the homodyne outcome x.
 
     Occupations are unique per branch, so the density is the incoherent sum
-    sum_j |d_j|^2 * |<x|beta_j>|^2.  Accepts a scalar or an ndarray of x.
+    sum_j |d_j|^2 * |<x|beta_j>|^2, added branch by branch.  Branches on one
+    pointer center share its Gaussian, which is kept until its last branch.
+    Accepts a scalar or an ndarray of x.
     """
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     total = np.zeros_like(xs)
-    for br in pd.branches:
-        u = xs - 2.0 * br.beta.real
-        total += (abs(br.d) ** 2 * _GAUSS_NORM) * np.exp(-0.5 * u * u)
+    centers = [2.0 * br.beta.real for br in pd.branches]
+    last = {c: j for j, c in enumerate(centers)}
+    gauss: dict[float, np.ndarray] = {}
+    for j, (br, c) in enumerate(zip(pd.branches, centers)):
+        g = gauss.pop(c, None)
+        if g is None:
+            u = xs - c
+            g = np.exp(-0.5 * u * u)
+        total += (abs(br.d) ** 2 * _GAUSS_NORM) * g
+        if last[c] > j:
+            gauss[c] = g
     return float(total[0]) if scalar else total
 
 
-def uniform_grid(centers, step: float) -> np.ndarray:
-    """Uniform x grid from min(centers) - GRID_PAD to max(centers) + GRID_PAD
-    at the step.
+def grid_windows(centers, step: float) -> tuple[tuple[float, float, int], ...]:
+    """(lo, hi, points) of each window of `uniform_grid`, in ascending order.
 
-    Raises InvalidSpec, before allocating, when the grid would hold more than
-    MAX_GRID_POINTS; the step count is checked before it is rounded, since a
-    subnormal step makes it infinite.
+    The windows are the union of [c - GRID_PAD, c + GRID_PAD] over the
+    distinct centers c, overlapping ones merged, each sampled at the step.
+    Raises InvalidSpec, before anything is allocated, when the windows would
+    hold more than MAX_GRID_POINTS; each step count is checked before it is
+    rounded, since a subnormal step makes it infinite.
     """
-    lo, hi = min(centers) - GRID_PAD, max(centers) + GRID_PAD
-    steps = (hi - lo) / step
-    if not steps <= MAX_GRID_POINTS - 1:
+    spans: list[list[float]] = []
+    for c in sorted(set(centers)):
+        if spans and c - GRID_PAD <= spans[-1][1]:
+            spans[-1][1] = c + GRID_PAD
+        else:
+            spans.append([c - GRID_PAD, c + GRID_PAD])
+    windows = []
+    for lo, hi in spans:
+        steps = (hi - lo) / step
+        if not steps <= MAX_GRID_POINTS - 1:
+            break
+        windows.append((lo, hi, max(2, math.ceil(steps) + 1)))
+    if len(windows) < len(spans) or sum(n for _, _, n in windows) > MAX_GRID_POINTS:
         raise InvalidSpec(
             f"density grid would exceed {MAX_GRID_POINTS} points; "
             f"use a coarser grid step than {step!r}"
         )
-    return np.linspace(lo, hi, max(2, math.ceil(steps) + 1))
+    return tuple(windows)
+
+
+def uniform_grid(centers, step: float) -> np.ndarray:
+    """x grid over the pointer centers +/- GRID_PAD at the step: one linspace
+    per window of `grid_windows`, so overlapping windows give one linspace
+    from min(centers) - GRID_PAD to max(centers) + GRID_PAD."""
+    parts = [np.linspace(lo, hi, n) for lo, hi, n in grid_windows(centers, step)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def density_grid(pd: PointerDecomposition, step: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform x grid spanning all pointer centers +/- GRID_PAD, with its density."""
+    """`uniform_grid` over the pointer centers, with its density."""
     xs = uniform_grid([2.0 * br.beta.real for br in pd.branches], step)
     return xs, homodyne_density(pd, xs)
 

@@ -444,14 +444,25 @@ class TestFilesAndDeterminism:
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
     def test_density_csv_grid_is_capped(self, tmp_path):
+        # Two disjoint pointer windows of width 16 at a step of 1e-5: 1.6e6 points each.
         out = tmp_path / "r.json"
         spec = _spec(
             command="symmetry", theta=0.7, alpha=1e5, input="0.6,0.8,0,0", trials=1,
-            out=str(out),
+            grid_step=1e-5, out=str(out),
         )
         with pytest.raises(InvalidSpec, match="density grid"):
             run(spec)
         assert not out.exists()
+
+    def test_out_keeps_the_exit_code(self, tmp_path):
+        # The pointer centers 2*alpha and 2*alpha*cos(2*theta) lie ~2e4 apart;
+        # the density CSV samples a window around each, not the span between.
+        argv = ["symmetry", "--theta", "0.785", "--alpha", "1e4", "--input", "1,1,0,0", "--trials", "3"]
+        assert main(argv) == 0
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        lines = (tmp_path / "r_density.csv").read_text().splitlines()
+        assert lines[0] == "x,p"
+        assert len(lines) == 1 + 2 * 1601
 
 
 class TestMainEntry:

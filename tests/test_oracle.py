@@ -28,7 +28,7 @@ from kerrbell import (
     two_mode_pointer,
     x_overlap,
 )
-from kerrbell.oracle import _BLOCK, _CHUNK, _wavefunction_chunks
+from kerrbell.oracle import _BLOCK, _CHUNK, _coherent_coefficients, _wavefunction_chunks
 
 
 def _split_bell(label):
@@ -180,9 +180,11 @@ class TestDensity:
 
     def test_reference_memory_at_the_benchmark_size(self):
         # The four Bell splits at alpha 4 on the benchmark's 0.002 grid step: two
-        # grids of 8001 points, 77 rows each.  Tabulating the wavefunctions in
-        # blocks of 2048 points, with a joint row per occupation, peaked at
-        # 3245946 bytes (3.10 MiB) in this test; streaming them needs about 2 MiB.
+        # grids of 8001 points, 77 rows each.  One grid array per group, one
+        # probe sum per +-net pair, the collapse points inside the first pass
+        # and no grid-sized temporaries peak at about 1.17 MiB here; a probe
+        # sum per net, a separate pass for the points and grid-sized
+        # temporaries in the recursion peaked at 2.03 MiB.
         cfg = OracleConfig(alpha=4.0, theta=math.pi / 4, grid_step=0.002)
         states = [_split_bell(label) for label in BellLabel]
         tracemalloc.start()
@@ -192,7 +194,7 @@ class TestDensity:
         finally:
             tracemalloc.stop()
         assert [grid.size for grid, _, _ in refs] == [8001] * 4
-        assert peak < 2.75 * 2**20
+        assert peak < 1.75 * 2**20
 
     def test_n_max_convergence(self):
         base = OracleConfig(alpha=2.0, theta=0.3)
@@ -273,6 +275,58 @@ class TestReference:
             for x, got in zip(xs, conditionals):
                 ref = full_fock_collapse(s, cfg, ANALYZER_WEIGHTS, x, convention)
                 assert got.amplitudes == ref.amplitudes
+
+
+class TestProbePass:
+    def test_collapse_points_straddling_a_block(self):
+        # One center per Bell split, so each grid holds 16382 points; the three
+        # collapse points ride at the end of the first pass's grid, so _BLOCK
+        # falls between the second and the third of them.
+        alpha, theta = 3.0, 0.4
+        cfg = OracleConfig(alpha=alpha, theta=theta, grid_step=16.0 / 16381)
+        states = [_split_bell(label) for label in BellLabel]
+        xs = (2.0 * alpha * math.cos(2.0 * theta), alpha * (1.0 + math.cos(2.0 * theta)), 2.0 * alpha)
+        refs = full_fock_reference(states, cfg, ANALYZER_WEIGHTS, xs)
+        assert [grid.size for grid, _, _ in refs] == [_BLOCK - 2] * 4
+        for s, (grid, density, conditionals) in zip(states, refs):
+            grid1, density1 = full_fock_density(s, cfg, ANALYZER_WEIGHTS)
+            assert np.array_equal(grid, grid1)
+            assert np.array_equal(density, density1)
+            for x, got in zip(xs, conditionals):
+                ref = full_fock_collapse(s, cfg, ANALYZER_WEIGHTS, x)
+                assert got.amplitudes == ref.amplitudes
+
+    @pytest.mark.parametrize("alpha, theta", [(2.0, 0.3), (4.0, -0.7), (1.0, math.pi / 4)])
+    def test_unequal_weights_at_plus_and_minus_net(self, alpha, theta):
+        # Nets +2, -2, +1, -1 and 0, each net with its own weight: the density is
+        # sum_u w_u*|f_u|^2 in net order, each f_u summed from its own probe rows.
+        s = SpatialFockState.normalized(
+            {(2, 0, 0, 0): 0.6, (0, 0, 2, 0): 0.3, (1, 0, 0, 0): 0.5j, (0, 0, 0, 1): -0.4,
+             (1, 0, 1, 0): 0.2 + 0.1j}
+        )
+        cfg = OracleConfig(alpha=alpha, theta=theta)
+        xs, ps = full_fock_reference([s], cfg, ANALYZER_WEIGHTS, ())[0][:2]
+        n_max = cfg.resolved_n_max
+        c, n = _coherent_coefficients(alpha, n_max), np.arange(n_max + 1)
+        by_net = {}
+        for occ, amp in s.items():
+            by_net.setdefault(sum(w * k for w, k in zip(ANALYZER_WEIGHTS, occ)), []).append(amp)
+        assert sorted(by_net) == [-2, -1, 0, 1, 2]
+        expected = 0
+        for u in sorted(by_net):
+            probe = c * np.exp(1j * theta * np.outer([u], n))[0]
+            rows = np.stack((probe.real, probe.imag))
+            acc = np.zeros((2, xs.size))
+            for k, psi in _wavefunction_chunks(xs, n_max):
+                acc += rows[:, k : k + len(psi)] @ psi
+            acc *= acc
+            expected = expected + float(np.sum(np.abs(np.asarray(by_net[u])) ** 2)) * (acc[0] + acc[1])
+        assert np.array_equal(ps, expected)
+
+
+    def test_no_states(self):
+        cfg = OracleConfig(alpha=2.0, theta=0.3)
+        assert full_fock_reference([], cfg, ANALYZER_WEIGHTS, (0.0, 2.0, 4.0)) == []
 
 
 class TestCrossValidation:

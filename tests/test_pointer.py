@@ -28,7 +28,7 @@ from kerrbell import (
     x_overlap,
 )
 from kerrbell.errors import InvalidSpec
-from kerrbell.pointer import GRID_PAD, MAX_GRID_POINTS, uniform_grid
+from kerrbell.pointer import _GAUSS_NORM, GRID_PAD, MAX_GRID_POINTS, grid_windows, uniform_grid
 from conftest import random_state
 
 ROOT4 = (2.0 * math.pi) ** -0.25
@@ -178,6 +178,29 @@ class TestHomodyneDensity:
             xs, ps = density_grid(pd)
             assert trapezoid(ps, xs) == pytest.approx(1.0, abs=1e-9)
 
+    def test_shared_centers_equal_the_per_branch_loop(self, rng):
+        # One Gaussian per distinct center, added branch by branch as before.
+        def per_branch(pd, xs):
+            total = np.zeros_like(xs)
+            for br in pd.branches:
+                u = xs - 2.0 * br.beta.real
+                total += (abs(br.d) ** 2 * _GAUSS_NORM) * np.exp(-0.5 * u * u)
+            return total
+
+        cfg = AnalyzerConfig(theta=0.3, alpha=4.0)
+        pds = [symmetry_pointer(bell_state(label), cfg) for label in BellLabel]
+        pds += [symmetry_pointer(random_state(rng), cfg) for _ in range(5)]
+        for _ in range(5):
+            k = int(rng.integers(2, 9))
+            d = rng.normal(size=k) + 1j * rng.normal(size=k)
+            d /= np.linalg.norm(d)
+            betas = rng.choice([1.0, -0.5 + 2j, 2.5j, 1.0 + 1j], size=k)
+            pds.append(PointerDecomposition([PointerBranch((j,), d[j], betas[j]) for j in range(k)]))
+        xs = np.linspace(-12.0, 16.0, 2801)
+        for pd in pds:
+            assert np.array_equal(homodyne_density(pd, xs), per_branch(pd, xs))
+            assert homodyne_density(pd, 1.25) == per_branch(pd, np.array([1.25]))[0]
+
 
 class TestUniformGrid:
     def test_spans_centers_and_pad(self):
@@ -190,6 +213,28 @@ class TestUniformGrid:
         # A subnormal step makes the step count infinite, past what math.ceil takes.
         with pytest.raises(InvalidSpec, match="density grid"):
             uniform_grid([0.0, 10.0], step)
+
+    def test_disjoint_windows_are_sampled_apart(self):
+        xs = uniform_grid([100.0, 0.0, 100.0], 0.01)
+        expected = np.concatenate(
+            (np.linspace(-GRID_PAD, GRID_PAD, 1601), np.linspace(100.0 - GRID_PAD, 100.0 + GRID_PAD, 1601))
+        )
+        assert np.array_equal(xs, expected)
+        assert grid_windows([0.0, 100.0], 0.01) == (
+            (-GRID_PAD, GRID_PAD, 1601), (100.0 - GRID_PAD, 100.0 + GRID_PAD, 1601)
+        )
+
+    def test_overlapping_windows_give_one_linspace(self):
+        centers = [0.0, 2.0 * GRID_PAD, 7.5, 4.0 * GRID_PAD]  # windows that touch count as one
+        xs = uniform_grid(centers, 0.01)
+        assert np.array_equal(xs, np.linspace(-GRID_PAD, 5.0 * GRID_PAD, 4801))
+
+    def test_cap_counts_every_window(self):
+        # Each window alone fits, both together do not.
+        step = 2.0 * GRID_PAD / (MAX_GRID_POINTS // 2)
+        assert uniform_grid([0.0], step).size == MAX_GRID_POINTS // 2 + 1
+        with pytest.raises(InvalidSpec, match="density grid"):
+            uniform_grid([0.0, 100.0], step)
 
     def test_cap_is_the_rounded_up_point_count(self):
         span = 2.0 * GRID_PAD
